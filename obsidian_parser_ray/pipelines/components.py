@@ -4,21 +4,32 @@ The reference delegates to ``petgraph::algo::connected_components``
 (/root/reference/examples/analyzer.rs:4,86-88) — a single-machine graph
 walk.  Two Ray-Data-native equivalents:
 
-* :func:`connected_components` — distributed min-label propagation
-  with POINTER JUMPING: every node starts labeled with itself; each
-  round, every node takes the min label over itself and its neighbors
-  (hash-join of the edge list against the label table + groupby-min),
-  then labels are compressed once via label-of-label (one more
-  node-sized join) — the jump squares the distance covered per round,
-  so convergence is O(log diameter) rounds instead of O(diameter)
-  (the classic Hash-Min + pointer-jumping scheme, cf. Kiveris et al.,
-  "Connected Components in MapReduce and Beyond").  Long
-  representative chains — e.g. the giant components LSH dedup
-  produces on template-heavy corpora — would otherwise pay one full
-  edge shuffle PER HOP.  Each round materializes a label table
-  bounded by node count, never the full edge × label product.  This
-  is the 10^12-scale path — all state lives in Datasets, rounds are
-  joins + groupbys with explicit ``num_partitions``.
+* :func:`connected_components` — min-label propagation with POINTER
+  JUMPING: every node starts labeled with itself; each round, every
+  node takes the min label over itself and its neighbors (hooking),
+  then labels are compressed via label-of-label — the jump squares the
+  distance covered per round, so convergence is O(log diameter) rounds
+  instead of O(diameter) (the classic Hash-Min + pointer-jumping
+  scheme, cf. Kiveris et al., "Connected Components in MapReduce and
+  Beyond").  Long representative chains — e.g. the giant components
+  LSH dedup produces on template-heavy corpora — would otherwise pay
+  one full edge pass PER HOP.  The broadcast guard of
+  ``stages.joins`` (``BROADCAST_MAX_ROWS`` ids and
+  ``BROADCAST_MAX_BYTES`` of id buffers, read at call time), applied
+  to the node universe ``subj ∪ obj ∪ nodes.doc_id``, picks the path:
+
+  - under the guard — resident-edge rounds (:mod:`.resident`): the
+    edges stay in the object store as int32 buckets keyed by
+    destination, and the label vector lives on the driver.  Each
+    round ships the labels once with ``ray.put`` and runs ONE
+    ``map_batches`` over the buckets for the hook; pointer jumping to
+    a fixpoint and the changed check run in numpy on the driver.
+  - past the guard — the Dataset loop: labels are a Dataset, each
+    round is :func:`broadcast_join_unique` probes (falling back to
+    the shuffle join past the guard) plus one
+    :func:`grouped_aggregate` exchange, and nothing node-scale is
+    held on the driver.
+
 * :func:`connected_components_local` — exact streaming union-find on
   the driver (O(nodes) driver memory, edges streamed once).  This is
   the analyzer-parity oracle and the right tool whenever the NODE
@@ -28,7 +39,9 @@ walk.  Two Ray-Data-native equivalents:
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def _norm_edges(edges):
@@ -48,34 +61,82 @@ def _norm_edges(edges):
 
 def connected_components(edges, nodes, *, max_iters: int = 50,
                          num_partitions: int = 16):
-    """Distributed label propagation → Dataset ``(node, component)``.
+    """Label propagation → Dataset ``(node, component)``.
 
-    ``edges``: Dataset with string columns (subj, obj) — treated
-    undirected.  ``nodes``: Dataset with ``doc_id`` (isolated nodes get
-    their own component).  ``component`` = min node id in the
-    component (deterministic canonical representative).
+    ``edges``: Dataset with columns (subj, obj) — treated undirected.
+    ``nodes``: Dataset with ``doc_id`` (isolated nodes get their own
+    component).  ``component`` = min node id in the component
+    (deterministic canonical representative).  Raises ``RuntimeError``
+    when no round leaves every label unchanged within ``max_iters``.
     """
-    from ray.data.aggregate import Count, Min
+    from .resident import column_type, exchange_width, node_universe
 
-    from ..stages.joins import broadcast_join_unique
+    def proj(t: pa.Table) -> pa.Table:
+        kt = t.schema.field("subj").type
+        return pa.table({"subj": t["subj"], "obj": pc.cast(t["obj"], kt)})
 
-    # coalesce BEFORE the loop: the edge lineage often ends in a wide
-    # shuffle whose many near-empty blocks would otherwise multiply
-    # every round's task count (per-round cost is dominated by
-    # scheduling latency × task count, not bytes, on small graphs)
+    # materialized ONCE, before anything reads it: the edge lineage
+    # often ends in an expensive shuffle (LSH pairs) that every later
+    # read would otherwise re-execute
+    e = edges.map_batches(proj, batch_format="pyarrow").materialize()
+    # exchange width ∝ measured (directed) message count
+    num_partitions = exchange_width(2 * e.count(), num_partitions)
+    kt = (column_type(e, "subj") or column_type(nodes, "doc_id")
+          or pa.string())
+    universe = node_universe([(e, ["subj", "obj"]), (nodes, ["doc_id"])],
+                             kt)
+    if universe is not None:
+        return _components_resident(e, universe, max_iters=max_iters,
+                                    num_partitions=num_partitions)
+    return _components_loop(e, nodes, max_iters=max_iters,
+                            num_partitions=num_partitions)
+
+
+def _not_converged(max_iters: int) -> RuntimeError:
+    return RuntimeError(
+        f"label propagation did not converge in {max_iters} rounds "
+        "(component diameter exceeds max_iters) — raise max_iters"
+    )
+
+
+def _components_resident(e, universe, *, max_iters, num_partitions):
+    from .resident import fold_round, node_table, resident_edges
+
+    res = resident_edges(e, universe, num_buckets=num_partitions,
+                         undirected=True)
+    label = np.arange(len(universe), dtype=np.int32)
+    for _ in range(max_iters):
+        hooked = fold_round(res, label, "min")
+        # pointer jumping to a fixpoint: label(label) never exceeds
+        # label, so this only shortens representative chains
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        changed = not np.array_equal(hooked, label)
+        label = hooked
+        if not changed:
+            return node_table(
+                {"node": universe, "component": universe.take(label)},
+                num_partitions,
+            )
+    raise _not_converged(max_iters)
+
+
+def _components_loop(e, nodes, *, max_iters, num_partitions):
+    """The Dataset loop, for node universes past the broadcast guard.
+    Each round materializes a label table bounded by node count, never
+    the full edge × label product."""
+    from ..stages.joins import broadcast_join_unique, grouped_aggregate
+
+    # coalesce BEFORE the loop: per-round cost is dominated by
+    # scheduling latency × task count on small graphs
     msgs = (
-        _norm_edges(edges)
+        _norm_edges(e)
         .repartition(num_partitions, shuffle=False)
         .materialize()
     )
-    # exchange width ∝ measured (directed) message count; per-round
-    # joins go through the guarded size-adaptive broadcast join — the
-    # label table is node-scale, so while it fits the guard each round
-    # is map-side probes + ONE groupby exchange, and a huge graph
-    # falls back to the shuffle join automatically (r5 scale-sweep
-    # finding: 57 s -> ~11 s at sf0.1)
-    num_partitions = max(4, min(num_partitions,
-                                msgs.count() // 400_000 + 4))
 
     def init_labels(t: pa.Table) -> pa.Table:
         return pa.table({"node": t["doc_id"], "label": t["doc_id"]})
@@ -83,25 +144,24 @@ def connected_components(edges, nodes, *, max_iters: int = 50,
     def endpoint_labels(t: pa.Table) -> pa.Table:
         return pa.table({"node": t["src"], "label": t["src"]})
 
+    def min_label(ds):
+        return grouped_aggregate(
+            ds, ["node"], [("label", "min", "label")],
+            num_partitions=num_partitions,
+        )
+
     # seed from nodes UNION edge endpoints: an endpoint absent from the
     # nodes table must still participate in the convergence check (its
     # first-appearance round would otherwise be invisible to the
     # changed-count and the loop could declare convergence early)
-    labels = (
+    labels = min_label(
         nodes.select_columns(["doc_id"])
         .map_batches(init_labels, batch_format="pyarrow")
         .union(msgs.map_batches(endpoint_labels, batch_format="pyarrow"))
-        .groupby("node")
-        .aggregate(Min("label", alias_name="label"))
-        .materialize()
-    )
+    ).materialize()
 
-    converged = False
     for _ in range(max_iters):
         # neighbor labels: msg (src,dst) ⋈ labels(node=src) → (dst, label)
-        # — hash_join_unique (labels are unique per node) instead of
-        # Dataset.join: robust to empty hash partitions (small graphs
-        # on many-CPU clusters) and free of per-partition join actors
         joined = broadcast_join_unique(
             msgs,
             labels,
@@ -113,13 +173,10 @@ def connected_components(edges, nodes, *, max_iters: int = 50,
         def as_node(t: pa.Table) -> pa.Table:
             return pa.table({"node": t["dst"], "label": t["label"]})
 
-        candidates = joined.map_batches(as_node, batch_format="pyarrow").union(
-            labels
-        )
         # materialized: consumed twice below (mid side + lut side) —
-        # lazy, each consumer would re-run the union + groupby
-        hooked = candidates.groupby("node").aggregate(
-            Min("label", alias_name="label")
+        # lazy, each consumer would re-run the union + aggregate
+        hooked = min_label(
+            joined.map_batches(as_node, batch_format="pyarrow").union(labels)
         ).materialize()
 
         # pointer jumping: label ← label(label).  Labels only decrease
@@ -161,18 +218,13 @@ def connected_components(edges, nodes, *, max_iters: int = 50,
         )
         labels = new_labels
         if changed == 0:
-            converged = True
-            break
-    if not converged:
-        raise RuntimeError(
-            f"label propagation did not converge in {max_iters} rounds "
-            "(component diameter exceeds max_iters) — raise max_iters"
-        )
-
-    def rename(t: pa.Table) -> pa.Table:
-        return pa.table({"node": t["node"], "component": t["label"]})
-
-    return labels.map_batches(rename, batch_format="pyarrow")
+            return labels.map_batches(
+                lambda t: pa.table(
+                    {"node": t["node"], "component": t["label"]}
+                ),
+                batch_format="pyarrow",
+            )
+    raise _not_converged(max_iters)
 
 
 def n_components(labels) -> int:

@@ -334,8 +334,9 @@ def bfs_hops(triples, sources: list[str], *, pred: str = "links_to",
     import ray as _ray
 
     from ..hashing import hash_bucket_array
+    from . import joins
 
-    max_bcast_rows = 2_000_000
+    max_bcast_rows = joins.BROADCAST_MAX_ROWS
     frontier_nodes = visited_tbl["node"].combine_chunks()
     next_hop = 1
     fell_back = False

@@ -34,6 +34,14 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+# The broadcast guard: a side at most this many rows AND bytes may be
+# collected on the driver and shipped to every task with ``ray.put``.
+# Every map-side join, BFS's resident hops and the resident graph
+# rounds of pagerank / connected_components share it; the iterative
+# paths read it at call time, so one assignment moves them all.
+BROADCAST_MAX_ROWS = 2_000_000
+BROADCAST_MAX_BYTES = 512 << 20
+
 
 def _plan_shuffle_join(left, right, *, left_key: str, right_key: str,
                        how: str, suffix: str, num_partitions: int,
@@ -596,8 +604,8 @@ def hash_join(left, right, *, left_key: str, right_key: str | None = None,
 def broadcast_join_unique(left, right, *, left_key: str,
                           right_key: str | None = None, how: str = "inner",
                           suffix: str = "_r",
-                          max_broadcast_rows: int = 2_000_000,
-                          max_broadcast_bytes: int = 512 << 20,
+                          max_broadcast_rows: int = BROADCAST_MAX_ROWS,
+                          max_broadcast_bytes: int = BROADCAST_MAX_BYTES,
                           num_partitions: int = 64):
     """Map-side equi-join against a SMALL unique-keyed right side.
 
@@ -795,8 +803,8 @@ class _BroadcastMNProbe:
 def broadcast_join(left, right, *, left_key: str,
                    right_key: str | None = None, how: str = "inner",
                    suffix: str = "_r",
-                   max_broadcast_rows: int = 2_000_000,
-                   max_broadcast_bytes: int = 512 << 20,
+                   max_broadcast_rows: int = BROADCAST_MAX_ROWS,
+                   max_broadcast_bytes: int = BROADCAST_MAX_BYTES,
                    num_partitions: int = 64, concurrency=(1, 8),
                    batch_size: int | None = None):
     """Map-side M:N equi-join against a SMALL right side with
@@ -913,14 +921,20 @@ def grouped_aggregate(ds, keys: list[str], aggs: list[tuple], *,
     (measured 4.1 s vs 1.4 s for this shape on the Q18 orderkey
     groupby at sf0.1, and ~300 s on a 3M-row two-key pair table).
     Composite keys are NUL-joined via Arrow, never pandas concat.
+    Raises ``ValueError`` on more than one ``count`` (Arrow names
+    every count output ``count_all``) and on an alias equal to a key.
     """
     from ..hashing import hash_bucket_array
 
-    for _, fn, _ in aggs:
+    for _, fn, alias in aggs:
         if fn not in ("sum", "min", "max", "count"):
             raise ValueError(
                 f"fn must be a decomposable aggregate, got {fn!r}"
             )
+        if alias in keys:
+            raise ValueError(f"alias {alias!r} collides with a key column")
+    if sum(fn == "count" for _, fn, _ in aggs) > 1:
+        raise ValueError("at most one 'count' aggregate per call")
 
     def _key_array(t: pa.Table):
         if len(keys) == 1:
@@ -944,7 +958,7 @@ def grouped_aggregate(ds, keys: list[str], aggs: list[tuple], *,
                 names.append(alias)
         g = t.select(
             list(keys)
-            + sorted({c for c, f, _ in aggs if f != "count"})
+            + sorted({c for c, f, _ in aggs if f != "count"} - set(keys))
         ).group_by(list(keys)).aggregate(specs)
         # arrow names outputs <col>_<fn> / count_all, keys last or
         # first depending on version — select by position-safe names

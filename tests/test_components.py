@@ -7,12 +7,14 @@ import pytest
 import ray.data as rd
 
 from obsidian_parser_ray import build_graph
+from obsidian_parser_ray.pipelines import components as components_mod
 from obsidian_parser_ray.pipelines.components import (
     connected_components,
     connected_components_local,
     n_components,
 )
 from obsidian_parser_ray.sources import from_markdown_items
+from obsidian_parser_ray.stages import joins
 
 
 def _edges_ds(pairs):
@@ -28,6 +30,30 @@ def _edges_ds(pairs):
 
 def _nodes_ds(ids):
     return rd.from_arrow(pa.table({"doc_id": pa.array(ids, pa.string())}))
+
+
+def _unexpected(*args, **kwargs):
+    raise AssertionError("the broadcast guard picked the other path")
+
+
+def _both_paths(edges, nodes, **kw):
+    """``connected_components`` as ``{node: component}`` on the resident
+    path and on the Dataset loop (forced by a guard no universe fits);
+    each run fails if the other path is taken.  The two must agree."""
+    out = []
+    for forced in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if forced:
+                mp.setattr(joins, "BROADCAST_MAX_ROWS", -1)
+                mp.setattr(components_mod, "_components_resident",
+                           _unexpected)
+            else:
+                mp.setattr(components_mod, "_components_loop", _unexpected)
+            labels = connected_components(edges, nodes, **kw)
+            out.append({r["node"]: r["component"]
+                        for r in labels.take_all()})
+    assert out[0] == out[1]
+    return out[0]
 
 
 class TestLocal:
@@ -46,12 +72,8 @@ class TestDistributed:
     def test_matches_local(self):
         pairs = [("a", "b"), ("b", "c"), ("x", "y"), ("c", "a"), ("p", "q")]
         nodes = ["a", "b", "c", "x", "y", "p", "q", "solo"]
-        dist = {
-            r["node"]: r["component"]
-            for r in connected_components(
-                _edges_ds(pairs), _nodes_ds(nodes), num_partitions=2
-            ).take_all()
-        }
+        dist = _both_paths(_edges_ds(pairs), _nodes_ds(nodes),
+                           num_partitions=2)
         local = connected_components_local(_edges_ds(pairs), _nodes_ds(nodes))
         assert dist == local
 
@@ -64,7 +86,59 @@ class TestDistributed:
             _edges_ds(pairs), _nodes_ds(nodes), num_partitions=2
         )
         assert n_components(labels) == 1
-        assert all(r["component"] == "n00" for r in labels.take_all())
+        got = _both_paths(_edges_ds(pairs), _nodes_ds(nodes),
+                          num_partitions=2)
+        assert got == {v: "n00" for v in nodes}
+
+    def test_isolated_nodes_only_in_nodes(self):
+        got = _both_paths(_edges_ds([("b", "a")]),
+                          _nodes_ds(["a", "b", "lone", "0solo"]))
+        assert got == {"a": "a", "b": "a", "lone": "lone", "0solo": "0solo"}
+
+    def test_endpoints_absent_from_nodes(self):
+        pairs = [("m", "k"), ("k", "z"), ("q", "r")]
+        got = _both_paths(_edges_ds(pairs), _nodes_ds(["z", "solo"]))
+        assert got == connected_components_local(
+            _edges_ds(pairs), _nodes_ds(["z", "solo"]))
+        assert got["m"] == got["z"] == "k" and got["r"] == "q"
+
+    def test_empty_edge_table(self):
+        got = _both_paths(_edges_ds([]), _nodes_ds(["b", "a"]))
+        assert got == {"a": "a", "b": "b"}
+        assert _both_paths(_edges_ds([]), _nodes_ds([])) == {}
+
+    def test_limit0_pandas_nodes(self):
+        # drop_near_duplicates' shape: no corpus-wide nodes, passed as a
+        # limit(0) view of a pandas-block id column
+        import pandas as pd
+
+        corpus = rd.from_pandas(pd.DataFrame({"id": ["d3", "d1", "d2"]}))
+        no_nodes = corpus.select_columns(["id"]).limit(0).map_batches(
+            lambda t: t.rename_columns(["doc_id"]), batch_format="pyarrow"
+        )
+        got = _both_paths(_edges_ds([("d3", "d2"), ("d2", "d4")]), no_nodes)
+        assert got == {"d2": "d2", "d3": "d2", "d4": "d2"}
+
+    def test_non_ascii_min_is_byte_order(self):
+        # UTF-8 byte order: "f" (0x66) < "é" (0xC3 0xA9) < "日" — a
+        # locale collation would put "é" first
+        pairs = [("é", "f"), ("日本", "é"), ("Ω", "x"), ("ä", "Ω")]
+        got = _both_paths(_edges_ds(pairs), _nodes_ds(["é", "ü"]))
+        assert got == connected_components_local(
+            _edges_ds(pairs), _nodes_ds(["é", "ü"]))
+        assert got["日本"] == "f" and got["Ω"] == "x" and got["ü"] == "ü"
+
+    def test_max_iters_exhausted_raises(self):
+        pairs = [(f"n{i:02d}", f"n{i + 1:02d}") for i in range(20)]
+        with pytest.raises(RuntimeError, match="did not converge"):
+            connected_components(_edges_ds(pairs), _nodes_ds([]),
+                                 max_iters=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(joins, "BROADCAST_MAX_ROWS", -1)
+            mp.setattr(components_mod, "_components_resident", _unexpected)
+            with pytest.raises(RuntimeError, match="did not converge"):
+                connected_components(_edges_ds(pairs), _nodes_ds([]),
+                                     max_iters=2)
 
 
 class TestGoldenVaultComponents:
@@ -86,6 +160,7 @@ class TestGoldenVaultComponents:
         assert len(set(local.values())) == 1
         labels = connected_components(edges, nodes, num_partitions=2)
         assert n_components(labels) == 1
+        assert _both_paths(edges, nodes, num_partitions=2) == local
 
 
 def test_long_chain_converges_in_log_rounds(ray_session):
@@ -106,11 +181,10 @@ def test_long_chain_converges_in_log_rounds(ray_session):
         }
     )
     nodes = pa.table({"doc_id": pa.array(names, pa.string())})
-    out = connected_components(
+    out = _both_paths(
         rd.from_arrow(edges).repartition(4),
         rd.from_arrow(nodes),
         max_iters=12,
         num_partitions=4,
-    ).to_pandas()
-    assert (out["component"] == "n000").all()
-    assert len(out) == n
+    )
+    assert out == {v: "n000" for v in names}

@@ -143,6 +143,21 @@ class TestBfsHops:
                           max_local_edges=0)
         assert fwd_l == fwd_d
 
+    def test_past_broadcast_guard_loop_identical(self, monkeypatch):
+        # a broadcast guard no visited set fits sends every hop of the
+        # distributed path through the Dataset loop
+        import numpy as np
+
+        from obsidian_parser_ray.stages import joins
+
+        rng = np.random.RandomState(4)
+        edges = [(f"n{rng.randint(0, 40)}", f"n{rng.randint(0, 40)}")
+                 for _ in range(150)]
+        local = self._run(edges, ["n0"], max_hops=4)
+        monkeypatch.setattr(joins, "BROADCAST_MAX_ROWS", 0)
+        assert self._run(edges, ["n0"], max_hops=4,
+                         max_local_edges=0) == local
+
 
 def _triples(pairs):
     return pa.table(

@@ -653,3 +653,42 @@ class TestGroupedAggregate:
         ds = rd.from_arrow(pa.table({"k": [1], "v": [1]}))
         with pytest.raises(ValueError, match="decomposable"):
             grouped_aggregate(ds, ["k"], [("v", "mean", "m")])
+
+    def test_rejects_two_counts(self, ray_session):
+        import pyarrow as pa
+        import pytest
+        import ray.data as rd
+
+        from obsidian_parser_ray.stages.joins import grouped_aggregate
+
+        ds = rd.from_arrow(pa.table({"k": [1], "v": [1]}))
+        with pytest.raises(ValueError, match="count"):
+            grouped_aggregate(ds, ["k"], [("v", "count", "a"),
+                                          ("k", "count", "b")])
+
+    def test_rejects_alias_equal_to_key(self, ray_session):
+        import pyarrow as pa
+        import pytest
+        import ray.data as rd
+
+        from obsidian_parser_ray.stages.joins import grouped_aggregate
+
+        ds = rd.from_arrow(pa.table({"k": [1], "v": [1]}))
+        with pytest.raises(ValueError, match="collides with a key"):
+            grouped_aggregate(ds, ["k"], [("v", "sum", "k")])
+
+    def test_agg_column_that_is_a_key(self, ray_session):
+        import pyarrow as pa
+        import ray.data as rd
+
+        from obsidian_parser_ray.stages.joins import grouped_aggregate
+
+        ds = rd.from_arrow(pa.table({"k": [2, 1, 2, 1, 2],
+                                     "v": [5, 6, 7, 8, 9]})).repartition(3)
+        out = grouped_aggregate(
+            ds, ["k"], [("k", "max", "kmax"), ("v", "sum", "s")],
+            num_partitions=4,
+        ).to_pandas().sort_values("k")
+        assert out["k"].tolist() == [1, 2]
+        assert out["kmax"].tolist() == [1, 2]
+        assert out["s"].tolist() == [14, 21]
