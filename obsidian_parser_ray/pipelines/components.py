@@ -25,8 +25,8 @@ walk.  Two Ray-Data-native equivalents:
     ``map_batches`` over the buckets for the hook; pointer jumping to
     a fixpoint and the changed check run in numpy on the driver.
   - past the guard — the Dataset loop: labels are a Dataset, each
-    round is :func:`broadcast_join_unique` probes (falling back to
-    the shuffle join past the guard) plus one
+    round is :func:`hash_join_unique` shuffles against the label
+    table (one row per node, so never under the guard here) plus one
     :func:`grouped_aggregate` exchange, and nothing node-scale is
     held on the driver.
 
@@ -128,7 +128,11 @@ def _components_loop(e, nodes, *, max_iters, num_partitions):
     """The Dataset loop, for node universes past the broadcast guard.
     Each round materializes a label table bounded by node count, never
     the full edge × label product."""
-    from ..stages.joins import broadcast_join_unique, grouped_aggregate
+    from ..stages.joins import grouped_aggregate, hash_join_unique
+
+    # every join below probes a label table with one row per node;
+    # this loop only runs when the node universe is past the broadcast
+    # guard, so those tables never broadcast — shuffle-join directly
 
     # coalesce BEFORE the loop: per-round cost is dominated by
     # scheduling latency × task count on small graphs
@@ -162,7 +166,7 @@ def _components_loop(e, nodes, *, max_iters, num_partitions):
 
     for _ in range(max_iters):
         # neighbor labels: msg (src,dst) ⋈ labels(node=src) → (dst, label)
-        joined = broadcast_join_unique(
+        joined = hash_join_unique(
             msgs,
             labels,
             left_key="src",
@@ -190,7 +194,7 @@ def _components_loop(e, nodes, *, max_iters, num_partitions):
             return pa.table({"mid": t["node"], "label": t["label"]})
 
         new_labels = (
-            broadcast_join_unique(
+            hash_join_unique(
                 hooked.map_batches(as_mid, batch_format="pyarrow"),
                 hooked.map_batches(as_lut, batch_format="pyarrow"),
                 left_key="mid",
@@ -204,7 +208,7 @@ def _components_loop(e, nodes, *, max_iters, num_partitions):
         )
         # converged iff no node's label changed — tiny anti-join check
         changed = (
-            broadcast_join_unique(
+            hash_join_unique(
                 new_labels,
                 labels.map_batches(
                     lambda t: pa.table({"node": t["node"], "old": t["label"]}),

@@ -20,9 +20,11 @@ the node universe subj ∪ obj:
   bucketing exchange and one :func:`grouped_aggregate` for the
   out-weights.
 * past the guard — the Dataset loop: every state table is a Dataset,
-  per-round joins go through :func:`broadcast_join_unique` (which
-  itself falls back to the shuffle join past the guard) and the
-  aggregates through :func:`grouped_aggregate` /
+  the per-round joins against the rank table (one row per node, so
+  never under the guard here) are :func:`hash_join_unique` shuffles,
+  the setup joins against the per-source out-weights go through
+  :func:`broadcast_join_unique` (map-side while the sources alone fit
+  the guard), and the aggregates through :func:`grouped_aggregate` /
   :func:`distinct_rows`; nothing node-scale is held on the driver.
 
 Both paths compute the same iterate.  Total rank mass is exactly 1 per
@@ -134,6 +136,7 @@ def _pagerank_loop(e, *, damping, iterations, num_partitions):
         broadcast_join_unique,
         distinct_rows,
         grouped_aggregate,
+        hash_join_unique,
     )
 
     # out-weight per source, folded into a per-edge transition
@@ -224,7 +227,9 @@ def _pagerank_loop(e, *, damping, iterations, num_partitions):
             or 0.0
         )
 
-        contrib = broadcast_join_unique(
+        # the rank table has one row per node, so past the guard it
+        # never broadcasts: shuffle-join it directly
+        contrib = hash_join_unique(
             trans,
             ranks.select_columns(["node", "rank"]),
             left_key="subj",
@@ -270,7 +275,7 @@ def _pagerank_loop(e, *, damping, iterations, num_partitions):
         )
         if it == iterations - 1:
             delta = (
-                broadcast_join_unique(
+                hash_join_unique(
                     new_ranks.select_columns(["node", "rank"]),
                     ranks.map_batches(
                         lambda t: pa.table(

@@ -36,9 +36,10 @@ import pyarrow.compute as pc
 
 # The broadcast guard: a side at most this many rows AND bytes may be
 # collected on the driver and shipped to every task with ``ray.put``.
-# Every map-side join, BFS's resident hops and the resident graph
-# rounds of pagerank / connected_components share it; the iterative
-# paths read it at call time, so one assignment moves them all.
+# The map-side joins (unless given explicit limits), BFS's resident
+# hops and the resident graph rounds of pagerank / connected_components
+# share it, and all of them read it at call time, so one assignment
+# moves them all.
 BROADCAST_MAX_ROWS = 2_000_000
 BROADCAST_MAX_BYTES = 512 << 20
 
@@ -604,8 +605,8 @@ def hash_join(left, right, *, left_key: str, right_key: str | None = None,
 def broadcast_join_unique(left, right, *, left_key: str,
                           right_key: str | None = None, how: str = "inner",
                           suffix: str = "_r",
-                          max_broadcast_rows: int = BROADCAST_MAX_ROWS,
-                          max_broadcast_bytes: int = BROADCAST_MAX_BYTES,
+                          max_broadcast_rows: int | None = None,
+                          max_broadcast_bytes: int | None = None,
                           num_partitions: int = 64):
     """Map-side equi-join against a SMALL unique-keyed right side.
 
@@ -621,7 +622,8 @@ def broadcast_join_unique(left, right, *, left_key: str,
     ``how`` ∈ inner/left/semi/anti; colliding right value columns get
     ``suffix``).  If the right side exceeds ``max_broadcast_rows`` OR
     ``max_broadcast_bytes`` (wide value columns can be multi-GB under
-    the row guard alone) the call falls back to
+    the row guard alone; ``None`` reads :data:`BROADCAST_MAX_ROWS` /
+    :data:`BROADCAST_MAX_BYTES` at call time) the call falls back to
     :func:`hash_join_unique` — the broadcast cliff is a deliberate,
     guarded decision, not a silent OOM.  This makes
     the operator a size-ADAPTIVE join: pass any right side whose size
@@ -639,6 +641,10 @@ def broadcast_join_unique(left, right, *, left_key: str,
             f"how must be 'inner', 'left', 'semi' or 'anti', got {how!r}"
         )
     right_key = right_key or left_key
+    if max_broadcast_rows is None:
+        max_broadcast_rows = BROADCAST_MAX_ROWS
+    if max_broadcast_bytes is None:
+        max_broadcast_bytes = BROADCAST_MAX_BYTES
 
     import ray
 
@@ -803,8 +809,8 @@ class _BroadcastMNProbe:
 def broadcast_join(left, right, *, left_key: str,
                    right_key: str | None = None, how: str = "inner",
                    suffix: str = "_r",
-                   max_broadcast_rows: int = BROADCAST_MAX_ROWS,
-                   max_broadcast_bytes: int = BROADCAST_MAX_BYTES,
+                   max_broadcast_rows: int | None = None,
+                   max_broadcast_bytes: int | None = None,
                    num_partitions: int = 64, concurrency=(1, 8),
                    batch_size: int | None = None):
     """Map-side M:N equi-join against a SMALL right side with
@@ -816,7 +822,8 @@ def broadcast_join(left, right, *, left_key: str,
     actor builds the M:N index (dictionary-encode + grouped order)
     once in ``__init__`` and every batch pays only the vectorized
     repeat/offset expansion — the left side is NEVER shuffled.  Over
-    the row/byte guards the call falls back to the shuffling
+    the row/byte guards (``None``: the module's broadcast guard, read
+    at call time) the call falls back to the shuffling
     :func:`hash_join` (a deliberate decision, not a silent OOM).
 
     ``how`` ∈ inner/left/semi/anti with :func:`hash_join` semantics
@@ -829,6 +836,10 @@ def broadcast_join(left, right, *, left_key: str,
             f"how must be 'inner', 'left', 'semi' or 'anti', got {how!r}"
         )
     right_key = right_key or left_key
+    if max_broadcast_rows is None:
+        max_broadcast_rows = BROADCAST_MAX_ROWS
+    if max_broadcast_bytes is None:
+        max_broadcast_bytes = BROADCAST_MAX_BYTES
 
     import ray
 

@@ -39,7 +39,8 @@ def _unexpected(*args, **kwargs):
 def _both_paths(edges, nodes, **kw):
     """``connected_components`` as ``{node: component}`` on the resident
     path and on the Dataset loop (forced by a guard no universe fits);
-    each run fails if the other path is taken.  The two must agree."""
+    each run fails if the other path is taken or emits a node twice.
+    The two must agree."""
     out = []
     for forced in (False, True):
         with pytest.MonkeyPatch.context() as mp:
@@ -49,9 +50,10 @@ def _both_paths(edges, nodes, **kw):
                            _unexpected)
             else:
                 mp.setattr(components_mod, "_components_loop", _unexpected)
-            labels = connected_components(edges, nodes, **kw)
-            out.append({r["node"]: r["component"]
-                        for r in labels.take_all()})
+            rows = connected_components(edges, nodes, **kw).take_all()
+            got = {r["node"]: r["component"] for r in rows}
+            assert len(rows) == len(got)
+            out.append(got)
     assert out[0] == out[1]
     return out[0]
 

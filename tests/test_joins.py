@@ -175,6 +175,27 @@ def test_broadcast_join_fallback_over_byte_threshold(ray_session):
     assert set(got.columns) == {"k", "v", "w"}
 
 
+def test_broadcast_joins_read_module_guard_at_call_time(ray_session,
+                                                        monkeypatch):
+    # without explicit limits both broadcast joins read the module
+    # guard when called, so patching it sends them to the shuffle join
+    from obsidian_parser_ray.stages import joins
+
+    calls = []
+    for name in ("hash_join_unique", "hash_join"):
+        real = getattr(joins, name)
+        monkeypatch.setattr(
+            joins, name,
+            lambda *a, _real=real, _name=name, **kw:
+                calls.append(_name) or _real(*a, **kw),
+        )
+    monkeypatch.setattr(joins, "BROADCAST_MAX_ROWS", -1)
+    for fn in (joins.broadcast_join_unique, joins.broadcast_join):
+        got = fn(_left(), _right(), left_key="k", right_key="kk").to_pandas()
+        assert len(got) == 4
+    assert calls == ["hash_join_unique", "hash_join"]
+
+
 def test_broadcast_join_collision_suffix(ray_session):
     from obsidian_parser_ray.stages.joins import broadcast_join_unique
 

@@ -48,7 +48,7 @@ def _unexpected(*args, **kwargs):
 def _both_paths(**kw):
     """``pagerank(**kw)`` as ``({node: rank}, l1_delta)`` on the resident
     path and on the Dataset loop (forced by a guard no universe fits);
-    each run fails if the other path is taken."""
+    each run fails if the other path is taken or emits a node twice."""
     out = []
     for forced in (False, True):
         with pytest.MonkeyPatch.context() as mp:
@@ -58,8 +58,10 @@ def _both_paths(**kw):
             else:
                 mp.setattr(pagerank_mod, "_pagerank_loop", _unexpected)
             ranks, delta = pagerank(**kw)
-            out.append(({r["node"]: r["rank"] for r in ranks.take_all()},
-                        delta))
+            rows = ranks.take_all()
+            got = {r["node"]: r["rank"] for r in rows}
+            assert len(rows) == len(got)
+            out.append((got, delta))
     (res, res_delta), (loop, loop_delta) = out
     assert res.keys() == loop.keys()
     for v in res:
