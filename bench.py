@@ -437,17 +437,16 @@ def run_scaling() -> dict:
     eff_software = pred_hi / hi["sec"]
     return {
         "metric": "scaling_efficiency",
-        "value": round(eff_software, 3),
+        "value": round(eff_raw, 3),
         "unit": "ratio",
         "designation": (
-            "value = software (probe-normalized) efficiency: raw "
-            "single-host ratio divided by the measured hardware "
-            "ceiling (shared-bus DRAM + clock scaling probed in this "
-            "same session); the N-vs-4N-NODE predictor since every "
-            "node brings its own bus. efficiency_raw is the "
-            "unnormalized single-host reading."
+            "value = raw single-host efficiency: speedup / cpu ratio "
+            "between the N- and 4N-cpu runs on this host. "
+            "efficiency_software divides it by the hardware ceiling "
+            "probed in the same session (shared-bus DRAM + clock "
+            "scaling) — the N-vs-4N-NODE predictor, since every node "
+            "brings its own bus."
         ),
-        "efficiency_raw": round(eff_raw, 3),
         "efficiency_hw_ceiling": round(eff_hw_ceiling, 3),
         "efficiency_software": round(eff_software, 3),
         "predicted_hi_sec": round(pred_hi, 2),

@@ -635,8 +635,12 @@ def read_adjacency(out_dir: str, subj: str):
     # arbitrary vault paths (quotes/backslashes must not reach a parser)
     import pyarrow.compute as pc
 
+    # the column select also drops the ``subj_bucket`` column Ray
+    # infers from the hive dir of a one-split layout
     def keep(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(t["subj"], pa.scalar(subj, pa.string())))
+        return t.filter(
+            pc.equal(t["subj"], pa.scalar(subj, pa.string()))
+        ).select(["subj", "pred", "obj", "weight"])
 
     return rd.read_parquet(path, file_extensions=["parquet"]).map_batches(
         keep, batch_format="pyarrow"

@@ -3,48 +3,76 @@ graph base WITHOUT re-processing the whole vault.
 
 The 100 TB argument: a full rebuild re-parses every document on every
 vault change.  This module persists the build's intermediate tables in
-a doc-hash / key-hash bucketed parquet layout so a delta of D changed
-documents touches work proportional to::
+a doc-hash / key-hash bucketed parquet layout, so a delta touches only
+the buckets it names.  Layout under ``base_dir`` (``b`` = hash bucket
+of the table's key column, ``num_buckets`` of them)::
 
-    |D|  (re-extract)
-  + |dictionary candidates of D|        (winner recompute, key-pruned)
-  + |mentions citing a CHANGED name|    (re-link, key-bucket-pruned read)
-  + |buckets containing affected docs|  (bucket rewrite)
+    candidates/    (kind, key, owner)        by hash(key) — the full
+                   candidate multiset (NOT just winners: a deletion
+                   must promote the runner-up, which winner-only state
+                   cannot do)
+    docs/          (doc_id, note_name, aliases)  by hash(doc_id) — a
+                   doc's own candidate rows, so a changed doc's OLD
+                   keys come from its own bucket
+    mentions/      MENTIONS_SCHEMA           by hash(subj)
+    mention_keys/  (target_key, doc_id, gen) by hash(target_key) — the
+                   reverse index: which docs cite a key
+    triples/       (subj, pred, obj, weight) by hash(subj)
+    _MANIFEST.json num_buckets, generation, tombstones, files
 
-never O(corpus).  Layout under ``base_dir``::
+``files`` maps table → bucket → live files (paths relative to
+``base_dir``).  Readers — the next delta, compaction, the returned
+triples Dataset — read exactly the manifest's files, so anything else
+on disk (a crashed writer's output, a superseded bucket not yet
+deleted) is never read.  A bulk write (:func:`checkpoint_graph_base`,
+:func:`compact_mention_keys`) leaves Ray's files under
+``<table>/g<gen>/b=<b>/``; a delta writes one
+``<table>/g<gen>-<b>.parquet`` per bucket it rewrites.
 
-    candidates/            (kind, key, owner)        — full candidate
-                           multiset (NOT just winners: a deletion must
-                           promote the runner-up, which winner-only
-                           state cannot do)
-    docs/db=<b>/           (doc_id)                  — doc index
-    mentions/db=<b>/       MENTIONS_SCHEMA           — by doc bucket
-    mention_keys/kb=<b>/   (target_key, doc_id, gen) — by key bucket
-                           (the reverse index: which docs cite a key)
-    triples/db=<b>/        (subj, pred, obj, weight) — by subj bucket
-    _MANIFEST.json         num_buckets, generation, tombstones
+Commit (write-then-publish, as Delta Lake's log): every new file goes
+under a name no live file has, then the manifest is written to a temp
+file and ``os.replace``-d — the one atomic step — and only then are
+superseded files deleted.  A crash before the swap leaves the old base
+(plus orphans); a crash after it leaves the new base (plus orphans) —
+for a crash of the process: data files are not fsync'd.
+Re-applying the same delta converges either way; bulk publishes sweep
+orphans.
 
 ``mention_keys`` is the dual index: a changed doc's old reverse-index
 rows are scattered across key buckets, so instead of rewriting them we
 TOMBSTONE the doc (manifest maps doc_id → min valid generation; new
-rows carry the current generation).  Reads filter against the
-tombstone map — O(cumulative changed docs) between compactions;
-:func:`compact_mention_keys` rewrites the index dropping tombstoned
-generations and clears the map (schedule it every N deltas).  All
-other tables are doc-bucketed, so their affected buckets are rewritten
-exactly (tmp + atomic rename).
+rows carry the current generation and are appended as one more file
+per key bucket).  Reads filter against the tombstone map — O(cumulative
+changed docs) between compactions; :func:`compact_mention_keys`
+rewrites the index dropping tombstoned generations and clears the map
+(schedule it every N deltas).
 
 Resolution-change semantics (matching ``stages.linking``): a mention
 re-resolves iff its ``target_key``'s winner changed in ANY of the
 full/short/alias maps (conservative superset — the full-vs-short
 routing depends on a '/' in the key, and alias is a fallback of
-short).  Winner per (kind, key) = min(owner doc_id), so the delta
-winner recompute only needs candidate rows for TOUCHED keys.
+short).  Winner per (kind, key) = min(owner doc_id), so the winner
+recompute only needs the candidate rows of TOUCHED keys.
 
-Driver-side state is bounded by the delta: the changed-doc id set,
-touched keys, and changed keys are all O(|D| · names-per-doc) —
-broadcast via ``ray.put``, never joined by shuffle (a delta that is
-itself 100 TB should just rebuild).
+Cost of a delta D (changed/added docs plus removed ids): ONE Dataset
+execution extracts D; everything after runs on the caller in Arrow
+(the same kernels as the Dataset path) over the bucket files it
+names:
+
+    read   docs buckets of D's docs, candidate buckets of the keys D
+           touches and of the keys the re-linked mentions cite,
+           mention_keys buckets of keys whose winner changed, and the
+           mentions/triples buckets of every affected doc
+    write  one file per rewritten bucket: those candidate buckets, the
+           docs/mentions buckets of D, the triples buckets of affected
+           docs, one appended mention_keys file per key bucket D cites
+
+never O(corpus).  Guard: before each read the pruned files' bytes
+(plus the delta table's) and the delta's rows are checked against
+``stages.joins.BROADCAST_MAX_BYTES`` / ``BROADCAST_MAX_ROWS``, read at
+call time; past it the update raises ``ValueError`` before writing
+anything — a delta that large should rebuild with
+:func:`checkpoint_graph_base`.
 """
 
 from __future__ import annotations
@@ -55,54 +83,50 @@ import shutil
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
+
+from ..stages.extract import MENTIONS_SCHEMA, NOTES_SCHEMA
+from ..stages.linking import _LITERAL_ARR
 
 _MANIFEST = "_MANIFEST.json"
+# bulk-write target rows per bucket file (see _write_generation)
+_BUCKET_FILE_ROWS = 32768
+
+_CAND_SCHEMA = pa.schema([
+    ("kind", pa.string()), ("key", pa.string()), ("owner", pa.string()),
+])
+
+_MKEYS_SCHEMA = pa.schema([
+    ("target_key", pa.string()), ("doc_id", pa.string()),
+    ("gen", pa.int64()),
+])
+
+_TRIPLES_SCHEMA = pa.schema([
+    ("subj", pa.string()), ("pred", pa.string()),
+    ("obj", pa.string()), ("weight", pa.int64()),
+])
+
+_DOCS_SCHEMA = pa.schema([
+    ("doc_id", pa.string()), ("note_name", pa.string()),
+    ("aliases", pa.list_(pa.string())),
+])
+
+_SCHEMAS = {
+    "candidates": _CAND_SCHEMA, "docs": _DOCS_SCHEMA,
+    "mentions": MENTIONS_SCHEMA, "mention_keys": _MKEYS_SCHEMA,
+    "triples": _TRIPLES_SCHEMA,
+}
 
 
-def _bucket_dirs(root: str, prefix: str, buckets) -> list[str]:
-    out = []
-    for b in sorted(set(int(x) for x in buckets)):
-        p = os.path.join(root, f"{prefix}={b}")
-        if os.path.isdir(p):
-            out.append(p)
-    return out
-
-
-def _all_bucket_ids(root: str, prefix: str) -> list[int]:
-    if not os.path.isdir(root):
-        return []
-    return sorted(
-        int(d.split("=", 1)[1])
-        for d in os.listdir(root)
-        if d.startswith(prefix + "=")
-    )
-
-
-def _read_dirs(paths: list[str], schema: pa.Schema):
-    """Read hive leaf dirs; Ray may re-infer the partition column from
-    the dir names (db=/kb=), so strip it back off."""
-    import ray.data as rd
-
-    if not paths:
-        return rd.from_arrow(schema.empty_table())
-
-    def drop_parts(t: pa.Table) -> pa.Table:
-        keep = [c for c in t.column_names if c not in ("db", "kb")]
-        return t.select(keep)
-
-    return rd.read_parquet(paths, file_extensions=["parquet"]).map_batches(
-        drop_parts, batch_format="pyarrow"
-    )
+def _arr(col) -> pa.Array:
+    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
 
 
 def _candidates_batch(t: pa.Table) -> pa.Table:
     """notes → dictionary candidate rows (kind, key, owner)."""
-    doc_ids = t["doc_id"].combine_chunks() if isinstance(
-        t["doc_id"], pa.ChunkedArray) else t["doc_id"]
-    names = t["note_name"].combine_chunks() if isinstance(
-        t["note_name"], pa.ChunkedArray) else t["note_name"]
-    aliases = t["aliases"].combine_chunks() if isinstance(
-        t["aliases"], pa.ChunkedArray) else t["aliases"]
+    doc_ids = _arr(t["doc_id"])
+    names = _arr(t["note_name"])
+    aliases = _arr(t["aliases"])
     n = t.num_rows
     parent = pc.list_parent_indices(aliases)
     flat = aliases.flatten()
@@ -123,348 +147,13 @@ def _candidates_batch(t: pa.Table) -> pa.Table:
     })
 
 
-_CAND_SCHEMA = pa.schema([
-    ("kind", pa.string()), ("key", pa.string()), ("owner", pa.string()),
-])
-
-_MKEYS_SCHEMA = pa.schema([
-    ("target_key", pa.string()), ("doc_id", pa.string()),
-    ("gen", pa.int64()),
-])
-
-_TRIPLES_SCHEMA = pa.schema([
-    ("subj", pa.string()), ("pred", pa.string()),
-    ("obj", pa.string()), ("weight", pa.int64()),
-])
-
-_DOCS_SCHEMA = pa.schema([("doc_id", pa.string())])
-
-
 def _mention_keys_batch(t: pa.Table, *, gen: int) -> pa.Table:
-    from ..stages.linking import _LITERAL_KINDS
-
-    mask = pc.invert(
-        pc.is_in(t["kind"],
-                 value_set=pa.array(sorted(_LITERAL_KINDS), pa.string()))
-    )
-    kept = t.filter(mask)
+    kept = t.filter(pc.invert(pc.is_in(t["kind"], value_set=_LITERAL_ARR)))
     return pa.table({
         "target_key": kept["target_key"],
         "doc_id": kept["subj"],  # mentions carry the doc key as subj
         "gen": pa.array([gen] * kept.num_rows, pa.int64()),
     })
-
-
-def _write_buckets(ds, out_root: str, col: str, prefix: str,
-                   num_buckets: int):
-    """Hash-bucket ``ds`` on ``col`` and write hive dirs
-    ``{out_root}/{prefix}=<b>/`` (tmp + rename for atomicity)."""
-    from ..hashing import hash_bucket_array
-
-    def add(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            prefix, hash_bucket_array(t[col], num_buckets)
-        )
-
-    tmp = out_root + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    ds.map_batches(add, batch_format="pyarrow").write_parquet(
-        tmp, partition_cols=[prefix]
-    )
-    shutil.rmtree(out_root, ignore_errors=True)
-    os.replace(tmp, out_root)
-
-
-def checkpoint_graph_base(docs, base_dir: str, *, num_buckets: int = 64,
-                          extract_batch_size: int | None = None,
-                          strict_lists: bool = False) -> dict:
-    """Full build of ``docs`` + persist the incremental base layout.
-
-    One extract pass feeds every artifact (notes checkpointed via
-    materialize at this call's scale; pass a pre-checkpointed docs
-    Dataset for the 100 TB variant).  Returns the manifest.
-    """
-    from ..stages.canonicalize import canonicalize
-    from ..stages.extract import explode_mentions, extract_notes
-    from ..stages.linking import child_of_edges, link_mentions
-
-    os.makedirs(base_dir, exist_ok=True)
-    notes = extract_notes(
-        docs, batch_size=extract_batch_size, strict_lists=strict_lists
-    ).materialize()
-
-    cands = notes.map_batches(_candidates_batch, batch_format="pyarrow")
-    _write_buckets(cands, os.path.join(base_dir, "candidates"),
-                   "key", "kb", num_buckets)
-
-    mentions = explode_mentions(notes).materialize()
-    _write_buckets(mentions, os.path.join(base_dir, "mentions"),
-                   "subj", "db", num_buckets)
-    _write_buckets(
-        mentions.map_batches(_mention_keys_batch, fn_kwargs={"gen": 0},
-                             batch_format="pyarrow"),
-        os.path.join(base_dir, "mention_keys"), "target_key", "kb",
-        num_buckets,
-    )
-    _write_buckets(notes.select_columns(["doc_id"]),
-                   os.path.join(base_dir, "docs"), "doc_id", "db",
-                   num_buckets)
-
-    dictionary = _dictionary_from_candidates(
-        _read_dirs(_bucket_dirs(os.path.join(base_dir, "candidates"),
-                                "kb", _all_bucket_ids(
-                                    os.path.join(base_dir, "candidates"),
-                                    "kb")),
-                   _CAND_SCHEMA)
-    )
-    edges = link_mentions(mentions, dictionary, drop_unresolved=True)
-    edges = edges.union(child_of_edges(notes.select_columns(["doc_id"])))
-    triples = canonicalize(edges)
-    _write_buckets(triples, os.path.join(base_dir, "triples"),
-                   "subj", "db", num_buckets)
-
-    man = {"num_buckets": num_buckets, "generation": 0, "tombstones": {}}
-    with open(os.path.join(base_dir, _MANIFEST), "w") as f:
-        json.dump(man, f)
-    return man
-
-
-def _dictionary_from_candidates(cands):
-    """Reduce the candidate multiset to the broadcast dictionary:
-    winner per (kind, key) = min(owner)."""
-    from ray.data.aggregate import Min
-
-    from ..stages.linking import ArrowLinkDictionary
-
-    rows = (
-        cands.groupby(["kind", "key"])
-        .aggregate(Min("owner", alias_name="winner"))
-        .take_all()
-    )
-    full, sk, sv, ak, av = [], [], [], [], []
-    for r in rows:
-        if r["kind"] == "full":
-            full.append(r["key"])
-        elif r["kind"] == "short":
-            sk.append(r["key"])
-            sv.append(r["winner"])
-        else:
-            ak.append(r["key"])
-            av.append(r["winner"])
-    return ArrowLinkDictionary(
-        full_keys=pa.array(sorted(full), pa.string()),
-        short_keys=pa.array(sk, pa.string()),
-        short_vals=pa.array(sv, pa.string()),
-        alias_keys=pa.array(ak, pa.string()),
-        alias_vals=pa.array(av, pa.string()),
-    )
-
-
-def _filter_in(col_name: str, values: set, *, invert: bool = False):
-    arr = pa.array(sorted(values), pa.string())
-
-    def fn(t: pa.Table) -> pa.Table:
-        m = pc.is_in(t[col_name], value_set=arr)
-        return t.filter(pc.invert(m) if invert else m)
-
-    return fn
-
-
-def incremental_update(base_dir: str, delta_docs, removed_ids=(), *,
-                       extract_batch_size: int | None = None,
-                       strict_lists: bool = False):
-    """Apply (changed/added ``delta_docs``, ``removed_ids``) to the
-    base; rewrites affected buckets IN PLACE and returns the new full
-    triples Dataset (untouched buckets stream straight from disk).
-    """
-    import ray.data as rd
-
-    from ..hashing import hash_bucket_scalar
-    from ..stages.canonicalize import canonicalize
-    from ..stages.extract import explode_mentions, extract_notes
-    from ..stages.linking import child_of_edges, link_mentions
-
-    with open(os.path.join(base_dir, _MANIFEST)) as f:
-        man = json.load(f)
-    B = int(man["num_buckets"])
-    gen = int(man["generation"]) + 1
-    tombstones: dict = dict(man.get("tombstones", {}))
-
-    notes_d = extract_notes(
-        delta_docs, batch_size=extract_batch_size,
-        strict_lists=strict_lists,
-    ).materialize()
-    delta_ids = [r["doc_id"]
-                 for r in notes_d.select_columns(["doc_id"]).take_all()]
-    affected_owner = set(delta_ids) | set(removed_ids)
-    if not affected_owner:
-        return _read_dirs(
-            _bucket_dirs(os.path.join(base_dir, "triples"), "db",
-                         _all_bucket_ids(
-                             os.path.join(base_dir, "triples"), "db")),
-            _TRIPLES_SCHEMA)
-
-    cand_root = os.path.join(base_dir, "candidates")
-    cand_all = _read_dirs(
-        _bucket_dirs(cand_root, "kb", _all_bucket_ids(cand_root, "kb")),
-        _CAND_SCHEMA)
-    cand_old_affected = cand_all.map_batches(
-        _filter_in("owner", affected_owner), batch_format="pyarrow")
-    cand_d = notes_d.map_batches(_candidates_batch,
-                                 batch_format="pyarrow").materialize()
-    touched_keys = (
-        {r["key"] for r in cand_old_affected.select_columns(["key"])
-         .take_all()}
-        | {r["key"] for r in cand_d.select_columns(["key"]).take_all()}
-    )
-
-    cand_kept = cand_all.map_batches(
-        _filter_in("owner", affected_owner, invert=True),
-        batch_format="pyarrow")
-    # pinned: consumed by the winner recompute, the dictionary build
-    # AND the candidates rewrite — without the pin each consumer would
-    # re-read the (soon-to-be-replaced) on-disk candidate buckets
-    cand_new = cand_kept.union(cand_d).materialize()
-
-    def winners(cands):
-        from ray.data.aggregate import Min
-
-        touched = cands.map_batches(_filter_in("key", touched_keys),
-                                    batch_format="pyarrow")
-        return {
-            (r["kind"], r["key"]): r["winner"]
-            for r in touched.groupby(["kind", "key"])
-            .aggregate(Min("owner", alias_name="winner")).take_all()
-        }
-
-    w_old = winners(cand_all)
-    w_new = winners(cand_new)
-    changed_keys = {
-        k[1] for k in set(w_old) | set(w_new)
-        if w_old.get(k) != w_new.get(k)
-    }
-
-    # docs whose mentions re-resolve: cite a changed key (reverse-index
-    # pruned read, tombstone-filtered), or are themselves in the delta
-    more_affected: set = set()
-    if changed_keys:
-        mk_dirs = _bucket_dirs(
-            os.path.join(base_dir, "mention_keys"), "kb",
-            {hash_bucket_scalar(k, B) for k in changed_keys})
-        mk = _read_dirs(mk_dirs, _MKEYS_SCHEMA).map_batches(
-            _filter_in("target_key", changed_keys),
-            batch_format="pyarrow")
-        if tombstones:
-            mk = mk.map_batches(_tombstone_filter(tombstones),
-                                batch_format="pyarrow")
-        more_affected = {
-            r["doc_id"]
-            for r in mk.select_columns(["doc_id"]).take_all()
-        }
-    affected = affected_owner | more_affected
-    removed = set(removed_ids)
-    alive_delta = set(delta_ids)
-    kept_relink = affected - affected_owner  # unchanged docs, re-resolve
-
-    db_affected = {hash_bucket_scalar(d, B) for d in affected}
-    from ..stages.extract import MENTIONS_SCHEMA
-
-    mention_root = os.path.join(base_dir, "mentions")
-    kept_mentions = _read_dirs(
-        _bucket_dirs(mention_root, "db", db_affected), MENTIONS_SCHEMA
-    ).map_batches(_filter_in("subj", kept_relink),
-                  batch_format="pyarrow") if kept_relink else None
-    mentions_d = explode_mentions(notes_d)
-    mentions_relink = (
-        kept_mentions.union(mentions_d)
-        if kept_mentions is not None else mentions_d
-    ).materialize()
-
-    dict_new = _dictionary_from_candidates(cand_new)
-
-    edges_a = link_mentions(mentions_relink, dict_new,
-                            drop_unresolved=True)
-    # child_of for every alive affected doc (kept + delta; not removed)
-    alive_kept = kept_relink - removed
-    docs_root = os.path.join(base_dir, "docs")
-    alive_ds = rd.from_arrow(
-        pa.table({"doc_id": pa.array(sorted(alive_delta), pa.string())}))
-    if alive_kept:
-        kept_docs = _read_dirs(
-            _bucket_dirs(docs_root, "db",
-                         {hash_bucket_scalar(d, B) for d in alive_kept}),
-            _DOCS_SCHEMA,
-        ).map_batches(_filter_in("doc_id", alive_kept),
-                      batch_format="pyarrow")
-        alive_ds = alive_ds.union(kept_docs)
-    edges_a = edges_a.union(child_of_edges(alive_ds))
-    triples_a = canonicalize(edges_a).materialize()
-
-    # ---- rewrite affected buckets in place --------------------------
-    _write_buckets(cand_new, cand_root, "key", "kb", B)
-
-    def rewrite(root: str, schema, keep_fn, new_ds, key_col: str):
-        """Replace affected-doc rows within the affected buckets."""
-        dirs = _bucket_dirs(root, "db", db_affected)
-        kept = _read_dirs(dirs, schema).map_batches(
-            keep_fn, batch_format="pyarrow")
-        merged = (kept.union(new_ds) if new_ds is not None
-                  else kept).materialize()
-        from ..hashing import hash_bucket_array
-
-        def add(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "db", hash_bucket_array(t[key_col], B))
-
-        tmp = root + ".updtmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        merged.map_batches(add, batch_format="pyarrow").write_parquet(
-            tmp, partition_cols=["db"])
-        for b in sorted(db_affected):
-            src = os.path.join(tmp, f"db={b}")
-            dst = os.path.join(root, f"db={b}")
-            shutil.rmtree(dst, ignore_errors=True)
-            if os.path.isdir(src):
-                os.replace(src, dst)
-        shutil.rmtree(tmp, ignore_errors=True)
-
-    rewrite(mention_root, MENTIONS_SCHEMA,
-            _filter_in("subj", affected, invert=True),
-            mentions_relink.map_batches(
-                _filter_in("subj", removed, invert=True),
-                batch_format="pyarrow"),
-            "subj")
-    rewrite(docs_root, _DOCS_SCHEMA,
-            _filter_in("doc_id", affected, invert=True), alive_ds,
-            "doc_id")
-    rewrite(os.path.join(base_dir, "triples"), _TRIPLES_SCHEMA,
-            _filter_in("subj", affected, invert=True), triples_a, "subj")
-
-    # reverse index: append delta rows at the new generation, tombstone
-    # every doc whose old reverse rows are now stale
-    mk_root = os.path.join(base_dir, "mention_keys")
-    mk_new = mentions_relink.map_batches(
-        _mention_keys_batch, fn_kwargs={"gen": gen},
-        batch_format="pyarrow")
-    from ..hashing import hash_bucket_array as _hba
-
-    def add_kb(t: pa.Table) -> pa.Table:
-        return t.append_column("kb", _hba(t["target_key"], B))
-
-    mk_new.map_batches(add_kb, batch_format="pyarrow").write_parquet(
-        mk_root, partition_cols=["kb"])
-    for d in affected:
-        tombstones[d] = gen
-
-    man.update(generation=gen, tombstones=tombstones)
-    with open(os.path.join(base_dir, _MANIFEST), "w") as f:
-        json.dump(man, f)
-
-    return _read_dirs(
-        _bucket_dirs(os.path.join(base_dir, "triples"), "db",
-                     _all_bucket_ids(
-                         os.path.join(base_dir, "triples"), "db")),
-        _TRIPLES_SCHEMA)
 
 
 def _tombstone_filter(tombstones: dict):
@@ -485,11 +174,394 @@ def _tombstone_filter(tombstones: dict):
     return drop_tomb
 
 
+# ---- manifest: the live file list and its publication -----------------
+
+def _load_manifest(base_dir: str) -> dict:
+    with open(os.path.join(base_dir, _MANIFEST)) as f:
+        man = json.load(f)
+    if "files" not in man:
+        raise ValueError(
+            f"{base_dir}: the base manifest has no 'files' map (a layout "
+            "written before generation commits); re-checkpoint the vault "
+            "with checkpoint_graph_base"
+        )
+    return man
+
+
+def _live(man: dict, table: str, buckets=None) -> list[str]:
+    """Live files of ``table`` (relative paths), all buckets or the
+    given ones."""
+    files = man["files"][table]
+    keys = (sorted(files, key=int) if buckets is None
+            else [str(b) for b in sorted(set(buckets))])
+    return [p for b in keys for p in files.get(b, ())]
+
+
+def _triples_dataset(base_dir: str, man: dict):
+    """The base's triples as a lazy Dataset over the live files."""
+    import ray.data as rd
+
+    paths = [os.path.join(base_dir, p) for p in _live(man, "triples")]
+    if not paths:
+        return rd.from_arrow(_TRIPLES_SCHEMA.empty_table())
+    return rd.read_parquet(paths, partitioning=None)
+
+
+def _write_table(table: pa.Table, path: str) -> None:
+    """The one bucket-file write of a delta."""
+    pq.write_table(table, path)
+
+
+def _drop_files(base_dir: str, rel_paths) -> None:
+    """Delete superseded files AFTER the manifest swap — a crash here
+    only leaves orphans, which no reader lists.  Emptied bulk-write
+    dirs stay until the next bulk publish sweeps them."""
+    for p in rel_paths:
+        try:
+            os.remove(os.path.join(base_dir, p))
+        except FileNotFoundError:
+            pass
+
+
+def _publish(base_dir: str, man: dict) -> None:
+    """The commit point: temp file + ``os.replace`` of the manifest."""
+    path = os.path.join(base_dir, _MANIFEST)
+    with open(path + ".tmp", "w") as f:
+        json.dump(man, f)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(path + ".tmp", path)
+
+
+def _sweep(base_dir: str, man: dict) -> None:
+    """After a bulk publish: delete every table file the manifest does
+    not list (superseded generations, a crashed writer's orphans, a
+    pre-manifest layout)."""
+    live = {os.path.normpath(p) for t in man["files"] for p in _live(man, t)}
+    for table in man["files"]:
+        root = os.path.join(base_dir, table)
+        for dirpath, _, files in os.walk(root, topdown=False):
+            for f in files:
+                fp = os.path.join(dirpath, f)
+                if os.path.relpath(fp, base_dir) not in live:
+                    os.remove(fp)
+            if dirpath != root and not os.listdir(dirpath):
+                os.rmdir(dirpath)
+
+
+def _write_generation(ds, base_dir: str, table: str, col: str, gen: int,
+                      num_buckets: int) -> dict:
+    """Bulk write: hash-bucket ``ds`` on ``col`` into
+    ``<table>/g<gen>/b=<b>/`` (a name no live file has); returns
+    bucket → files for the manifest."""
+    from ..hashing import hash_bucket_array
+
+    rel = os.path.join(table, f"g{gen}")
+    root = os.path.join(base_dir, rel)
+    shutil.rmtree(root, ignore_errors=True)
+
+    def add(t: pa.Table) -> pa.Table:
+        return t.append_column("b", hash_bucket_array(t[col], num_buckets))
+
+    # bundle blocks into write tasks of ~_BUCKET_FILE_ROWS rows per
+    # bucket: each task writes one file per bucket, so a base of one
+    # task's size leaves ONE file per bucket for the pruned reads
+    ds.map_batches(add, batch_format="pyarrow").write_parquet(
+        root, partition_cols=["b"],
+        min_rows_per_file=num_buckets * _BUCKET_FILE_ROWS)
+    files: dict = {}
+    for d in sorted(os.listdir(root)) if os.path.isdir(root) else ():
+        fs = sorted(f for f in os.listdir(os.path.join(root, d))
+                    if f.endswith(".parquet"))
+        if fs:
+            files[d.split("=", 1)[1]] = [os.path.join(rel, d, f) for f in fs]
+    return files
+
+
+def checkpoint_graph_base(docs, base_dir: str, *, num_buckets: int = 64,
+                          extract_batch_size: int | None = None,
+                          strict_lists: bool = False) -> dict:
+    """Full build of ``docs`` + persist the incremental base layout.
+
+    One extract pass feeds every artifact (notes checkpointed via
+    materialize at this call's scale; pass a pre-checkpointed docs
+    Dataset for the 100 TB variant).  Published like a delta — new
+    generation files, then the manifest swap, then a sweep of every
+    file the new manifest does not list — so it also replaces an
+    existing base in place.  Returns the manifest.
+    """
+    from ..stages.canonicalize import canonicalize
+    from ..stages.extract import explode_mentions, extract_notes
+    from ..stages.linking import build_dictionary, child_of_edges, link_mentions
+
+    os.makedirs(base_dir, exist_ok=True)
+    try:
+        with open(os.path.join(base_dir, _MANIFEST)) as f:
+            gen = int(json.load(f)["generation"]) + 1
+    except (OSError, ValueError, KeyError):
+        gen = 0
+    notes = extract_notes(
+        docs, batch_size=extract_batch_size, strict_lists=strict_lists
+    ).materialize()
+    mentions = explode_mentions(notes).materialize()
+
+    def put(table: str, ds, col: str) -> dict:
+        return _write_generation(ds, base_dir, table, col, gen, num_buckets)
+
+    files = {
+        "candidates": put("candidates", notes.map_batches(
+            _candidates_batch, batch_format="pyarrow"), "key"),
+        "docs": put("docs", notes.select_columns(_DOCS_SCHEMA.names),
+                    "doc_id"),
+        "mentions": put("mentions", mentions, "subj"),
+        "mention_keys": put("mention_keys", mentions.map_batches(
+            _mention_keys_batch, fn_kwargs={"gen": gen},
+            batch_format="pyarrow"), "target_key"),
+    }
+    edges = link_mentions(mentions, build_dictionary(notes),
+                          drop_unresolved=True)
+    edges = edges.union(child_of_edges(notes))
+    files["triples"] = put("triples", canonicalize(edges), "subj")
+
+    man = {"num_buckets": num_buckets, "generation": gen, "tombstones": {},
+           "files": files}
+    _publish(base_dir, man)
+    _sweep(base_dir, man)
+    return man
+
+
+# ---- the delta, on the caller -------------------------------------------
+
+class _BucketReader:
+    """Whole-bucket reads of the live files, cached per (table, bucket)
+    and charged against the caller-side guard before each read."""
+
+    def __init__(self, base_dir: str, man: dict, delta: pa.Table,
+                 n_removed: int):
+        self.base_dir, self.man = base_dir, man
+        self.cache: dict = {}
+        self.bytes = delta.nbytes
+        self.rows = delta.num_rows + n_removed
+        self._check(0)
+
+    def _check(self, n_files: int) -> None:
+        from ..stages import joins
+
+        if (self.bytes > joins.BROADCAST_MAX_BYTES
+                or self.rows > joins.BROADCAST_MAX_ROWS):
+            raise ValueError(
+                f"incremental_update: the delta ({self.rows} rows) and the "
+                f"bucket files it prunes to ({self.bytes} bytes so far, "
+                f"{n_files} more to read) exceed the caller-side guard "
+                f"(stages.joins.BROADCAST_MAX_ROWS="
+                f"{joins.BROADCAST_MAX_ROWS}, BROADCAST_MAX_BYTES="
+                f"{joins.BROADCAST_MAX_BYTES}); the base is unchanged — "
+                "rebuild it with checkpoint_graph_base"
+            )
+
+    def read(self, table: str, buckets) -> pa.Table:
+        schema = _SCHEMAS[table]
+        todo = sorted(set(buckets) - {b for t, b in self.cache if t == table})
+        paths = {b: _live(self.man, table, [b]) for b in todo}
+        n = sum(len(v) for v in paths.values())
+        self.bytes += sum(os.path.getsize(os.path.join(self.base_dir, p))
+                          for v in paths.values() for p in v)
+        self._check(n)
+        for b, ps in paths.items():
+            self.cache[(table, b)] = pa.concat_tables(
+                [pq.read_table(os.path.join(self.base_dir, p),
+                               columns=schema.names,
+                               partitioning=None).cast(schema)
+                 for p in ps]
+            ) if ps else schema.empty_table()
+        return self.bucket_rows(table, buckets)
+
+    def bucket_rows(self, table: str, buckets) -> pa.Table:
+        return pa.concat_tables(
+            [self.cache[(table, b)] for b in sorted(set(buckets))]
+            or [_SCHEMAS[table].empty_table()])
+
+
+def _buckets(values, num_buckets: int) -> set:
+    from ..hashing import hash_bucket_array
+
+    return set(hash_bucket_array(_arr(values), num_buckets).to_pylist())
+
+
+def _split(t: pa.Table, col: str, num_buckets: int) -> dict:
+    """Rows of ``t`` per hash bucket of ``col``."""
+    from ..hashing import hash_bucket_array
+
+    b = hash_bucket_array(_arr(t[col]), num_buckets)
+    return {k: t.filter(pc.equal(b, k)) for k in set(b.to_pylist())}
+
+
+def _isin(t: pa.Table, col: str, values) -> pa.Array:
+    return pc.is_in(t[col], value_set=values)
+
+
+def _winners(cands: pa.Table) -> pa.Table:
+    """First-wins per (kind, key): (kind, key, owner_min)."""
+    return cands.group_by(["kind", "key"]).aggregate([("owner", "min")])
+
+
+def _dictionary(cands: pa.Table):
+    from ..stages.linking import ArrowLinkDictionary
+
+    w = _winners(cands)
+
+    def split(kind: str) -> pa.Table:
+        return w.filter(pc.equal(w["kind"], kind))
+
+    full, short, alias = split("full"), split("short"), split("alias")
+    return ArrowLinkDictionary(
+        full_keys=_arr(full["key"]),
+        short_keys=_arr(short["key"]),
+        short_vals=_arr(short["owner_min"]),
+        alias_keys=_arr(alias["key"]),
+        alias_vals=_arr(alias["owner_min"]),
+    )
+
+
+def incremental_update(base_dir: str, delta_docs, removed_ids=(), *,
+                       extract_batch_size: int | None = None,
+                       strict_lists: bool = False):
+    """Apply (changed/added ``delta_docs``, ``removed_ids``) to the
+    base and return the new full triples Dataset (a lazy read of the
+    live bucket files).  A doc both in the delta and removed is
+    removed.  Raises ``ValueError`` — with the base untouched — when
+    the delta is past the caller-side guard (module docstring).
+    """
+    import ray
+
+    from ..stages.canonicalize import _combine_batch
+    from ..stages.extract import explode_mentions_batch, extract_notes
+    from ..stages.linking import child_of_batch, link_batch
+
+    man = _load_manifest(base_dir)
+    B = int(man["num_buckets"])
+    gen = int(man["generation"]) + 1
+
+    # the one Dataset execution: extract the delta, then Arrow only
+    blocks = ray.get(extract_notes(
+        delta_docs, batch_size=extract_batch_size,
+        strict_lists=strict_lists,
+    ).materialize().to_arrow_refs())
+    cols = ["doc_id", "note_name", "aliases", "mentions"]
+    notes = pa.concat_tables([b.select(cols) for b in blocks if b.num_rows]
+                             or [NOTES_SCHEMA.empty_table().select(cols)])
+    removed = pa.array(sorted(set(removed_ids)), pa.string())
+    notes = notes.filter(pc.invert(_isin(notes, "doc_id", removed)))
+    owners = pc.unique(pa.concat_arrays([_arr(notes["doc_id"]), removed]))
+    if not len(owners):
+        return _triples_dataset(base_dir, man)
+
+    reader = _BucketReader(base_dir, man, notes, len(removed))
+    owner_db = _buckets(owners, B)
+    docs_old = reader.read("docs", owner_db)
+    old_docs = docs_old.filter(_isin(docs_old, "doc_id", owners))
+
+    # winners of every key an owner held or now holds
+    cand_d = _candidates_batch(notes)
+    touched = pc.unique(pa.concat_arrays([
+        _arr(_candidates_batch(old_docs)["key"]), _arr(cand_d["key"])]))
+    touched_kb = _buckets(touched, B)
+    cand_buckets = reader.read("candidates", touched_kb)
+    cand_t = cand_buckets.filter(_isin(cand_buckets, "key", touched))
+    cand_t_new = pa.concat_tables([
+        cand_t.filter(pc.invert(_isin(cand_t, "owner", owners))), cand_d])
+    w = _winners(cand_t).join(_winners(cand_t_new), ["kind", "key"],
+                              join_type="full outer", right_suffix="_new")
+    changed = pc.unique(_arr(w.filter(pc.fill_null(
+        pc.not_equal(w["owner_min"], w["owner_min_new"]), True))["key"]))
+
+    # unchanged docs citing a changed key re-resolve (reverse index,
+    # tombstone-filtered)
+    relink = pa.array([], pa.string())
+    if len(changed):
+        mk = reader.read("mention_keys", _buckets(changed, B))
+        mk = mk.filter(_isin(mk, "target_key", changed))
+        if man["tombstones"]:
+            mk = _tombstone_filter(man["tombstones"])(mk)
+        ids = pc.unique(_arr(mk["doc_id"]))
+        relink = ids.filter(pc.invert(pc.is_in(ids, value_set=owners)))
+    affected = pa.concat_arrays([owners, relink])
+    affected_db = _buckets(affected, B)
+
+    mentions = reader.read("mentions", affected_db)
+    mentions_d = explode_mentions_batch(notes)
+    mentions_relink = pa.concat_tables([
+        mentions.filter(_isin(mentions, "subj", relink)), mentions_d])
+
+    # dictionary restricted to the cited keys: identical resolution
+    lookup = mentions_relink.filter(pc.invert(
+        pc.is_in(mentions_relink["kind"], value_set=_LITERAL_ARR)))
+    cited = pc.unique(_arr(lookup["target_key"]))
+    cands = reader.read("candidates", _buckets(cited, B))
+    cands = cands.filter(pc.and_(
+        _isin(cands, "key", cited),
+        pc.invert(_isin(cands, "owner", owners))))
+    dictionary = _dictionary(pa.concat_tables([
+        cands, cand_d.filter(_isin(cand_d, "key", cited))]))
+
+    linked = link_batch(mentions_relink, dictionary)
+    alive = pa.table({"doc_id": pa.concat_arrays(
+        [_arr(notes["doc_id"]), relink])})
+    triples_a = _combine_batch(pa.concat_tables([
+        linked.filter(linked["resolved"]), child_of_batch(alive)]))
+    triples_old = reader.read("triples", affected_db)
+
+    # ---- new bucket contents; nothing written before all reads -----
+    def rewrite(old: pa.Table, drop_col: str, drop, new: pa.Table,
+                key_col: str, buckets) -> dict:
+        kept = old.filter(pc.invert(_isin(old, drop_col, drop)))
+        merged = pa.concat_tables(
+            [kept, new.select(kept.column_names).cast(kept.schema)])
+        parts = _split(merged, key_col, B)
+        return {b: parts.get(b) for b in buckets}
+
+    notes_docs = notes.select(_DOCS_SCHEMA.names).cast(_DOCS_SCHEMA)
+    tables = {
+        "candidates": rewrite(cand_buckets, "owner", owners, cand_d, "key",
+                              touched_kb),
+        "docs": rewrite(docs_old, "doc_id", owners, notes_docs, "doc_id",
+                        owner_db),
+        "mentions": rewrite(reader.bucket_rows("mentions", owner_db),
+                            "subj", owners, mentions_d, "subj", owner_db),
+        "triples": rewrite(triples_old, "subj", affected, triples_a, "subj",
+                           affected_db),
+    }
+    files = {t: dict(v) for t, v in man["files"].items()}
+    superseded: list = []
+    for table, parts in tables.items():
+        for b, t in parts.items():
+            superseded += files[table].pop(str(b), [])
+            if t is not None and t.num_rows:
+                rel = os.path.join(table, f"g{gen}-{b}.parquet")
+                _write_table(t, os.path.join(base_dir, rel))
+                files[table][str(b)] = [rel]
+    # reverse index: append the delta's rows at the new generation and
+    # tombstone every doc whose old reverse rows are now stale
+    for b, t in _split(_mention_keys_batch(mentions_d, gen=gen),
+                       "target_key", B).items():
+        rel = os.path.join("mention_keys", f"g{gen}-{b}.parquet")
+        _write_table(t, os.path.join(base_dir, rel))
+        files["mention_keys"].setdefault(str(b), []).append(rel)
+    tombstones = dict(man["tombstones"])
+    tombstones.update(dict.fromkeys(_arr(old_docs["doc_id"]).to_pylist(), gen))
+
+    new_man = dict(man, generation=gen, tombstones=tombstones, files=files)
+    _publish(base_dir, new_man)
+    _drop_files(base_dir, superseded)
+    return _triples_dataset(base_dir, new_man)
+
+
 def compact_mention_keys(base_dir: str) -> dict:
-    """Compact the reverse index: rewrite ``mention_keys`` buckets
-    dropping tombstoned generations, then clear the manifest tombstone
-    map (VERDICT r2 #8 — without this the map grows O(cumulative
-    changed docs) and every pruned read pays the filter).
+    """Compact the reverse index: rewrite ``mention_keys`` dropping
+    tombstoned generations, then clear the manifest tombstone map
+    (VERDICT r2 #8 — without this the map grows O(cumulative changed
+    docs), every pruned read pays the filter, and each delta appends
+    one more file per key bucket it cites).
 
     Work is O(reverse index size) — schedule it when the tombstone map
     (checked via the returned/loaded manifest) outgrows the cost of a
@@ -498,27 +570,25 @@ def compact_mention_keys(base_dir: str) -> dict:
     filtered read of the old index and a plain read of the compacted
     index see the same rows (pytest-asserted).
 
-    Crash safety: the whole index tree is written to ``.tmp`` and
-    atomically renamed BEFORE the manifest update; a crash in between
-    leaves the old manifest over the compacted index, where the
-    tombstone filter is an idempotent no-op (the stale rows it would
-    drop are already gone).
+    Published like every other write: the compacted index goes to a
+    new generation's files, the manifest swap commits it, and the
+    sweep then deletes the old index files.
     """
-    with open(os.path.join(base_dir, _MANIFEST)) as f:
-        man = json.load(f)
-    tombstones: dict = dict(man.get("tombstones", {}))
+    import ray.data as rd
+
+    man = _load_manifest(base_dir)
+    tombstones: dict = dict(man["tombstones"])
     if not tombstones:
         return man
-    mk_root = os.path.join(base_dir, "mention_keys")
-    mk = _read_dirs(
-        _bucket_dirs(mk_root, "kb", _all_bucket_ids(mk_root, "kb")),
-        _MKEYS_SCHEMA,
-    ).map_batches(_tombstone_filter(tombstones), batch_format="pyarrow")
-    # _write_buckets executes the (lazy) filtered read into .tmp first,
-    # then swaps the tree — the source is never read after the swap
-    _write_buckets(mk, mk_root, "target_key", "kb",
-                   int(man["num_buckets"]))
-    man["tombstones"] = {}
-    with open(os.path.join(base_dir, _MANIFEST), "w") as f:
-        json.dump(man, f)
-    return man
+    gen = int(man["generation"]) + 1
+    paths = [os.path.join(base_dir, p) for p in _live(man, "mention_keys")]
+    mk = (rd.read_parquet(paths, partitioning=None) if paths
+          else rd.from_arrow(_MKEYS_SCHEMA.empty_table()))
+    files = dict(man["files"])
+    files["mention_keys"] = _write_generation(
+        mk.map_batches(_tombstone_filter(tombstones), batch_format="pyarrow"),
+        base_dir, "mention_keys", "target_key", gen, int(man["num_buckets"]))
+    new_man = dict(man, generation=gen, tombstones={}, files=files)
+    _publish(base_dir, new_man)
+    _sweep(base_dir, new_man)
+    return new_man

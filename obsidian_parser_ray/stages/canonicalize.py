@@ -121,6 +121,18 @@ def canonicalize(edges, *, directed: bool = True, batch_size: int | None = None,
     )
 
 
+def pred_filter(pred: str):
+    """Batch fn keeping the rows whose ``pred`` equals ``pred`` — a
+    ``pc.equal`` kernel, never an interpolated expression string, so
+    quotes in a predicate name reach no parser."""
+    value = pa.scalar(pred, pa.string())
+
+    def keep(t: pa.Table) -> pa.Table:
+        return t.filter(pc.equal(t["pred"], value))
+
+    return keep
+
+
 def sorted_triples(triples):
     """Final sorted materialize order (north_star): (subj, pred, obj)."""
     return triples.sort(TRIPLES_KEYS)
@@ -135,7 +147,7 @@ def degree_top_k(triples, *, pred: str = "links_to", by: str = "obj", k: int = 1
     from ray.data.aggregate import Sum
 
     deg = (
-        triples.filter(expr=f"pred == '{pred}'")
+        triples.map_batches(pred_filter(pred), batch_format="pyarrow")
         .groupby(by)
         .aggregate(Sum("weight", alias_name="degree"))
     )

@@ -32,6 +32,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .canonicalize import pred_filter
+
 _SEP = "\x00"
 
 
@@ -625,7 +627,7 @@ def random_walks(triples, *, walks_per_node: int = 1, walk_len: int = 4,
 
     edges = triples
     if pred is not None:
-        edges = edges.filter(expr=f"pred == '{pred}'")
+        edges = edges.map_batches(pred_filter(pred), batch_format="pyarrow")
     edges = edges.select_columns(["subj", "obj"])
 
     # start frontier: every distinct subject × walks_per_node
@@ -844,7 +846,7 @@ def biased_walks(triples, *, walks_per_node: int = 1, walk_len: int = 4,
 
     edges = triples
     if pred is not None:
-        edges = edges.filter(expr=f"pred == '{pred}'")
+        edges = edges.map_batches(pred_filter(pred), batch_format="pyarrow")
     edges = edges.select_columns(["subj", "obj"])
 
     def starts(t: pa.Table) -> pa.Table:

@@ -423,35 +423,35 @@ def link_mentions(mentions, dictionary, *,
     return edges
 
 
-def child_of_edges(notes):
-    """Derived ``child_of`` triples from path-shaped doc ids
-    (SURVEY.md §7.2: ``data/main`` → child_of → ``data``)."""
+def child_of_batch(batch: pa.Table) -> pa.Table:
+    """Derived ``child_of`` edges of one ``doc_id`` batch (SURVEY.md
+    §7.2: ``data/main`` → child_of → ``data``)."""
     import pyarrow.compute as pc
 
-    def derive(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"]
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
-        mask = pc.match_substring(ids, "/")
-        subj = ids.filter(mask)
-        # parent = everything before the last '/' — Arrow regex kernel
-        # (strip the final '/'+segment), no per-row Python
-        parents = pc.replace_substring_regex(subj, r"/[^/]*$", "")
-        n = len(subj)
-        return pa.Table.from_arrays(
-            [
-                subj,
-                pa.array(["child_of"] * n, pa.string()),
-                parents,
-                pa.array([True] * n, pa.bool_()),
-                pa.nulls(n, pa.int32()),
-                pa.nulls(n, pa.int32()),
-            ],
-            schema=EDGES_SCHEMA,
-        )
+    ids = _arr(batch["doc_id"])
+    subj = ids.filter(pc.match_substring(ids, "/"))
+    # parent = everything before the last '/' — Arrow regex kernel
+    # (strip the final '/'+segment), no per-row Python
+    parents = pc.replace_substring_regex(subj, r"/[^/]*$", "")
+    n = len(subj)
+    return pa.Table.from_arrays(
+        [
+            subj,
+            pa.array(["child_of"] * n, pa.string()),
+            parents,
+            pa.array([True] * n, pa.bool_()),
+            pa.nulls(n, pa.int32()),
+            pa.nulls(n, pa.int32()),
+        ],
+        schema=EDGES_SCHEMA,
+    )
 
+
+def child_of_edges(notes):
+    """Derived ``child_of`` triples from path-shaped doc ids
+    (:func:`child_of_batch` per block)."""
     return notes.select_columns(["doc_id"]).map_batches(
-        derive, batch_format="pyarrow"
+        child_of_batch, batch_format="pyarrow"
     )
 
 

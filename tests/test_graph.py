@@ -427,6 +427,24 @@ class TestHubSkew:
         assert top[0]["obj"] == "hub" and top[0]["degree"] == 3 * n
 
 
+    def test_degree_top_k_pred_with_quote(self, ray_session):
+        import pyarrow as pa
+        import ray.data as rd
+
+        from obsidian_parser_ray.stages.canonicalize import degree_top_k
+
+        tri = rd.from_arrow(pa.table({
+            "subj": ["a", "b", "c", "a"],
+            "pred": ["it's", "it's", "links_to", "links_to"],
+            "obj": ["x", "x", "y", "y"],
+            "weight": pa.array([1, 2, 5, 5], pa.int64()),
+        }))
+        top = degree_top_k(tri, pred="it's", by="obj", k=5).take_all()
+        assert [(r["obj"], r["degree"]) for r in top] == [("x", 3)]
+        assert degree_top_k(tri, pred="x' or pred != 'x", by="obj",
+                            k=5).take_all() == []
+
+
 class TestAdjacencyLayout:
     def test_bucketed_write_and_pruned_read(self, tmp_path):
         from obsidian_parser_ray import build_graph
@@ -443,6 +461,34 @@ class TestAdjacencyLayout:
         rows = read_adjacency(out, "n3").take_all()
         assert {(r["subj"], r["obj"]) for r in rows} == {("n3", "n4"), ("n3", "n5")}
         assert all(r["weight"] == 1 for r in rows)
+
+    def test_lookup_returns_the_four_triple_columns(self, tmp_path, ray_session):
+        """A one-split layout keeps its rows under hive
+        ``subj_bucket=`` dirs; the lookup must not surface that dir as a
+        fifth column, on the hit path or on the missing-bucket path."""
+        import os
+
+        from obsidian_parser_ray import build_graph, read_adjacency, write_adjacency
+        from obsidian_parser_ray.hashing import hash64_scalar
+        from obsidian_parser_ray.sources import from_markdown_items
+
+        cols = ["subj", "pred", "obj", "weight"]
+        docs = from_markdown_items([("a", "[[b]]"), ("b", "[[a]]")])
+        out = str(tmp_path / "adj1")
+        g = build_graph(docs, include_child_of=False)
+        man = write_adjacency(g, out, num_buckets=16, splits_per_bucket=1)
+        assert man["splits_per_bucket"] == 1
+        rows = read_adjacency(out, "a").take_all()
+        assert [list(r) for r in rows] == [cols]
+        assert rows[0]["obj"] == "b"
+        missing = next(
+            s for s in (f"m{i}" for i in range(1000))
+            if not os.path.isdir(os.path.join(
+                out, "data", f"subj_bucket={hash64_scalar(s) % 16}"))
+        )
+        empty = read_adjacency(out, missing)
+        assert empty.schema().names == cols
+        assert empty.take_all() == []
 
     def test_rewrite_is_idempotent(self, tmp_path):
         from obsidian_parser_ray import build_graph, read_adjacency, write_adjacency

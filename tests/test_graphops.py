@@ -281,6 +281,35 @@ class TestRandomWalks:
         b = sorted(map(tuple, out2.to_numpy()))
         assert a == b  # deterministic
 
+    def test_pred_with_quote_is_a_value_not_an_expression(self):
+        import pyarrow as pa
+        import ray.data as rd
+
+        from obsidian_parser_ray.stages.graphops import random_walks
+
+        quoted = [("a", "b"), ("b", "a")]
+        rows = [(s, "it's", o) for s, o in quoted] + [
+            (s, "links_to", o) for s, o in [("a", "c"), ("c", "a"), ("b", "c")]
+        ]
+        tri = rd.from_arrow(pa.table({
+            "subj": [r[0] for r in rows],
+            "pred": [r[1] for r in rows],
+            "obj": [r[2] for r in rows],
+            "weight": pa.array([1] * len(rows), pa.int64()),
+        }))
+        out = random_walks(tri, pred="it's", walks_per_node=1, walk_len=3,
+                           num_partitions=4).to_pandas()
+        assert sorted(out.loc[out.step == 0, "node"]) == ["a", "b"]
+        hops = set()
+        for _, w in out.sort_values("step").groupby("walk_id"):
+            nodes = list(w["node"])
+            hops |= set(zip(nodes, nodes[1:]))
+        assert hops and hops <= set(quoted)
+        # a quote that would rewrite an interpolated expression string
+        # is just a predicate value no row carries
+        assert random_walks(tri, pred="x' or pred != 'x", walks_per_node=1,
+                            walk_len=3, num_partitions=4).count() == 0
+
     def test_full_length_under_width_autoshrink(self):
         # num_partitions=64 on a 7-edge graph exercises the r5
         # measured-width auto-shrink: the frontier and edge tag maps
