@@ -1048,13 +1048,17 @@ def _events_seconds(sf_dir: str, *, event_type: str, columns: list):
     import pyarrow as pa
     import pyarrow.compute as pc
 
+    # a pc.equal kernel, not an interpolated expr string: quotes in
+    # ``event_type`` reach no parser
+    value = pa.scalar(event_type, pa.string())
+
     def to_s(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.equal(t["event_type"], value))
         s = pc.divide(pc.cast(t["ts"], pa.int64()), 1_000_000)
         return t.append_column("s", s)
 
     return (
         _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type", "value"])
-        .filter(expr=f"event_type == '{event_type}'")
         .map_batches(to_s, batch_format="pyarrow")
         .select_columns(columns)
     )

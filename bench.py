@@ -245,27 +245,16 @@ def _scaling_child(num_cpus: int) -> None:
     t0 = time.perf_counter()
     # fixed-size actor pool (int) — all linker actors spin up at
     # operator start instead of autoscaling lag after the dict barrier;
-    # materialize_notes=False → slim dictionary sweep + fully streaming
-    # extract→link→canonicalize (no barrier); the sink is the
-    # north_star's sorted materialize (distributed parquet write), not
-    # a driver-side stream.
-    link_mode = os.environ.get("GRAFT_LINK_MODE", "broadcast")
-    if link_mode == "shuffle":
-        # fused single-pass shuffle build: one parse per doc, no
-        # dictionary barrier / driver merge at all
-        g = build_graph(
-            docs,
-            include_child_of=False,
-            link_mode="shuffle",
-            num_link_partitions=num_cpus * 2,
-        )
-    else:
-        g = build_graph(
-            docs,
-            linker_concurrency=max(2, num_cpus // 2),
-            include_child_of=False,
-            materialize_notes=False,
-        )
+    # materialize_notes=False → one parse into the combined table, then
+    # fully streaming link→canonicalize (no notes barrier); the sink is
+    # the north_star's sorted materialize (distributed parquet write),
+    # not a driver-side stream.
+    g = build_graph(
+        docs,
+        linker_concurrency=max(2, num_cpus // 2),
+        include_child_of=False,
+        materialize_notes=False,
+    )
     t_dict = time.perf_counter() - t0
     # GRAFT_SINK_MODE=adjacency swaps the flat global-sort sink for the
     # fused bucketed adjacency sink (one int-key shuffle whose reduce
@@ -458,6 +447,44 @@ def run_scaling() -> dict:
     }
 
 
+def _replicated_input(src: str, copies: int) -> str:
+    """``src`` replicated ``copies``× by ``scripts/make_sfN.py`` into a
+    /tmp directory named after the source (real path, parquet file
+    sizes and mtimes) and the copy count.  A directory is reused only
+    when its manifest — written after the last table — holds the same
+    key, so a changed source, another copy count or an interrupted
+    build is rebuilt instead of read stale."""
+    import hashlib
+
+    src = os.path.realpath(src)
+    files = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".parquet"):
+            st = os.stat(os.path.join(src, name))
+            files[name] = [st.st_size, st.st_mtime_ns]
+    key = {"src": src, "copies": copies, "files": files}
+    blob = json.dumps(key, sort_keys=True)
+    out = f"/tmp/sfx{copies}-{hashlib.sha256(blob.encode()).hexdigest()[:12]}"
+    manifest = os.path.join(out, "_REPLICA_MANIFEST.json")
+    try:
+        with open(manifest) as f:
+            if json.load(f) == key:
+                return out
+    except (OSError, ValueError):
+        pass
+    shutil.rmtree(out, ignore_errors=True)
+    subprocess.run(
+        [sys.executable,
+         os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "scripts", "make_sfN.py"),
+         "--src", src, "--out", out, "--copies", str(copies)],
+        check=True, capture_output=True, timeout=600,
+    )
+    with open(manifest, "w") as f:
+        f.write(blob)
+    return out
+
+
 def main() -> None:
     if "--gen-corpus" in sys.argv:
         _gen_scale_corpus()
@@ -494,15 +521,7 @@ def main() -> None:
     # if anything goes wrong so the headline line always prints.
     if os.environ.get("GRAFT_SF1", "1") != "0":
         try:
-            sf1_dir = "/tmp/sf1"
-            if not os.path.exists(f"{sf1_dir}/lineitem.parquet"):
-                subprocess.run(
-                    [sys.executable,
-                     os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                  "scripts", "make_sfN.py"),
-                     "--src", SF_DIR, "--out", sf1_dir, "--copies", "10"],
-                    check=True, capture_output=True, timeout=600,
-                )
+            sf1_dir = _replicated_input(SF_DIR, 10)
             q1 = bench_queries(sf1_dir, NUM_CPUS)
             n1 = pq.ParquetFile(
                 f"{sf1_dir}/documents.parquet").metadata.num_rows

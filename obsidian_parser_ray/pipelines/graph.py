@@ -1,23 +1,35 @@
 """End-to-end KG-construction pipeline (the flagship).
 
 Mirrors the reference's vault → graph lifecycle (SURVEY.md §3) as a
-Ray-Data-first dataflow::
+Ray-Data-first dataflow in one of two shapes::
 
-    documents (span rows)
-      └─ extract (stateless map_batches, P1-P13)          → notes
-           ├─ checkpoint (materialize OR parquet+manifest)
-           ├─ dictionary fold (3 tiny columns, first-wins) → ray.put
-           ├─ explode mentions (Arrow list flatten)        → mentions
-           │    └─ EntityLinker actor pool (broadcast dict)→ edges
-           │         └─ union(child_of) → per-block combine
-           │              └─ groupby(subj,pred,obj) SHUFFLE → triples
-           └─ duplicate reports (groupby name / content hash)
+    streaming (default for large or unknown-size inputs)
+      documents ─ extract_mentions_and_dict (ONE parse) → combined
+                  (mention rows ∪ dict partials), materialized
+        ├─ under the link guard: driver merge → ray.put → EntityLinker
+        │    actor pool                                  "broadcast"
+        └─ over it: hash-partition the same table on the lookup key,
+             merge + link per partition              "shuffle-combined"
 
-The notes Dataset is consumed by several branches (dictionary,
-mentions, node table, duplicate reports), so it is pinned once —
-``materialize()`` at test/bench scale, a parquet checkpoint with a
-manifest when ``checkpoint_dir`` is given (the 100 TB path; also the
-resume point).  Nothing else in the pipeline materializes.
+    barrier (user_filter / checkpoint_dir / materialize_notes=True /
+             inputs under 1 GiB)
+      documents ─ extract_notes → notes, pinned (materialize or
+                  parquet checkpoint + manifest — the resume point)
+        ├─ dictionary (first-wins) → ray.put → EntityLinker actor pool
+        └─ node table, duplicate reports
+
+    edges ∪ child_of → per-block combine → groupby(subj,pred,obj)
+    shuffle → triples
+
+The link guard is measured, not configured: the combined table is
+already materialized, so its row count and bytes are block metadata;
+when either is past the guard, one vectorized sweep sums the row count
+and key/val bytes of its dictionary side.  Bytes are bounded by
+``stages.joins.BROADCAST_MAX_BYTES`` (the guard every map-side join
+shares, read at call time) and entries by :data:`LINK_MAX_ENTRIES`.
+The barrier shape always broadcasts: its dictionary is bounded by the
+notes table it already pinned.  :attr:`GraphResult.link_topology`
+reports which topology ran.
 """
 
 from __future__ import annotations
@@ -27,6 +39,13 @@ from dataclasses import dataclass, field
 from ..stages.canonicalize import canonicalize, degree_top_k, sorted_triples
 from ..stages.extract import explode_mentions, extract_notes
 from ..stages.linking import build_dictionary, child_of_edges, link_mentions
+
+#: Entry backstop of the link guard: past this many dictionary partial
+#: rows the streaming build shuffles even under the byte guard.  Not
+#: ``joins.BROADCAST_MAX_ROWS`` (2M): a measured 7.7M-entry / ~230 MB
+#: dictionary (3.84M docs, BASELINE.md scaling table) still links
+#: faster by broadcast.
+LINK_MAX_ENTRIES = 10_000_000
 
 
 @dataclass
@@ -39,10 +58,8 @@ class GraphResult:
     edges: object  # resolved edge multiset (reference keeps parallel edges)
     triples: object  # canonical (subj, pred, obj, weight)
     dictionary: object = field(repr=False, default=None)
-    #: which linking topology actually ran: "broadcast",
-    #: "shuffle-fused" (link_mode="shuffle": extraction fused into the
-    #: shuffle, docs re-read), or "shuffle-combined" (auto-selected:
-    #: the materialized single-pass table shuffled, no second read)
+    #: which linking topology ran: "broadcast" or "shuffle-combined"
+    #: (the materialized single-pass table shuffled; no dictionary)
     link_topology: str = ""
 
     def node_count(self) -> int:
@@ -91,33 +108,25 @@ def _estimate_input_bytes(ds) -> int | None:
         return None
 
 
-def _dict_exceeds_broadcast(combined, max_entries: int, max_bytes: int) -> bool:
-    """Size probe for the auto link-topology decision.
+def _dict_exceeds_broadcast(combined, rows: int) -> bool:
+    """The link guard over the materialized combined table of ``rows``
+    rows (module docstring).
 
-    One vectorized sweep over the ALREADY-MATERIALIZED combined table
-    (mention rows ∪ dict partials — a few % of input bytes, pinned in
-    the object store either way): per-block (row count, key+val byte
-    volume) partials of the dictionary side, summed by a tiny
-    aggregate.  Bounds BOTH dimensions of the broadcast cliff — entry
-    count (driver-merge hash-map size) and payload bytes (plasma /
-    per-actor deserialization) — mirroring the row+byte guard of
-    ``joins.broadcast_join_unique``.
+    The dictionary side is a subset of the whole table, so a table
+    under both limits needs no probe: ``rows`` and ``size_bytes()``
+    are block metadata.  Otherwise one vectorized sweep sums the
+    dictionary side's row count (driver-merge size) and key+val bytes
+    (plasma / per-actor deserialization) — both dimensions of the
+    broadcast cliff, as in ``joins.broadcast_join_unique``.
     """
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
-    # metadata short-circuit: on the materialized combined table both
-    # count() and size_bytes() are free; the dictionary side is a
-    # subset of the whole table, so if the WHOLE table fits the guard
-    # the dictionary certainly does — no probe pass at all.  Only
-    # oversized tables (where the probe cost is a rounding error of
-    # the build) pay the exact dict-side sweep.
-    try:
-        if (combined.count() <= max_entries
-                and combined.size_bytes() <= max_bytes):
-            return False
-    except Exception:
-        pass
+    from ..stages import joins
+
+    max_bytes = joins.BROADCAST_MAX_BYTES
+    if rows <= LINK_MAX_ENTRIES and combined.size_bytes() <= max_bytes:
+        return False
 
     def stats(t):
         import pyarrow as pa
@@ -138,7 +147,7 @@ def _dict_exceeds_broadcast(combined, max_entries: int, max_bytes: int) -> bool:
     )
     n = int(agg["n"] or 0) if agg else 0
     nbytes = int(agg["nbytes"] or 0) if agg else 0
-    return n > max_entries or nbytes > max_bytes
+    return n > LINK_MAX_ENTRIES or nbytes > max_bytes
 
 
 def build_graph(
@@ -155,11 +164,6 @@ def build_graph(
     user_filter=None,
     materialize_notes: bool | None = None,
     strict_lists: bool = False,
-    link_mode: str = "auto",
-    num_link_partitions: int = 64,
-    single_pass: bool = True,
-    max_broadcast_entries: int = 10_000_000,
-    max_broadcast_bytes: int = 512 << 20,
 ):
     """documents Dataset → :class:`GraphResult`.
 
@@ -168,106 +172,35 @@ def build_graph(
     applied to the notes table before graph construction (e.g. drop
     todos / empty notes, examples/analyzer.rs:45-49).
 
-    ``link_mode="auto"`` (default) SIZE-SELECTS the join topology so
-    the flagship path has no manual scale cliff: in the streaming
-    single-pass mode the materialized combined table is probed for its
-    dictionary-partial row count and key/val byte volume (one cheap
-    vectorized sweep over the already-pinned derived table — never a
-    corpus re-read), and if either exceeds ``max_broadcast_entries`` /
-    ``max_broadcast_bytes`` the build flips from the broadcast linker
-    to :func:`..stages.linking.link_combined_shuffle` — a hash-
-    partitioned join over the SAME combined table, zero extra passes.
-    Guard defaults: BYTES (512 MB) is the binding constraint for the
-    skinny string dictionary (driver merge + ray.put + per-actor
-    fetch); the 10M entry guard backstops pathological many-tiny-key
-    corpora (measured: a 7.7M-entry / ~230 MB dictionary at 3.84M docs
-    still favors broadcast — see BASELINE.md scaling table).
-    Barrier paths (``user_filter`` / ``checkpoint_dir`` / explicit
-    ``materialize_notes=True``) and the two-pass mode resolve auto to
-    broadcast: their semantics require the notes barrier, and the
-    dictionary they build is bounded by the notes table they already
-    pinned.  The chosen topology is reported on
+    ``materialize_notes=None`` (default) AUTO-selects the shape (module
+    docstring): the barrier when a ``user_filter`` or
+    ``checkpoint_dir`` needs it, or when the source-metadata estimate
+    says the input is under 1 GiB (one parse, then a pinned notes
+    table, is faster there); otherwise — large or UNKNOWN size — the
+    streaming shape, which never pins the full notes table: ``notes``
+    and ``mentions`` on the result stay lazy views that re-execute the
+    extract if consumed.  ``True`` forces the barrier (worth it when
+    several consumers re-read the notes table and it fits the object
+    store, ≲10^7 notes per 100 GB of aggregate store); ``False``
+    forces streaming unless a filter or checkpoint needs the barrier.
+
+    The streaming shape links by broadcast or by the combined shuffle,
+    chosen by the measured link guard; the topology that ran is
     :attr:`GraphResult.link_topology`.
-
-    ``link_mode="broadcast"`` forces the broadcast dictionary;
-    ``"shuffle"`` forces the FUSED single-pass shuffle join
-    (:func:`..stages.linking.link_edges_fused`): one parse per
-    document, no driver-side dictionary, no broadcast size ceiling —
-    also correct at 10^12 docs, but re-reads the corpus when a
-    combined table would have existed anyway (requires no
-    ``user_filter``; the notes/mentions/dictionary handles on the
-    result are then lazy derivations).
-
-    ``single_pass=True`` (default, streaming mode only): the corpus is
-    read ONCE — the extract stage emits mention rows and dictionary
-    partials from the same parse and only that combined derived table
-    (a few % of input bytes) is materialized.  ``False`` restores the
-    zero-materialization two-pass variant (slim dictionary sweep +
-    direct mention extraction) — prefer it only when even the derived
-    mentions table must not be pinned.
-
-    ``materialize_notes=None`` (default) AUTO-selects: the STREAMING
-    path (slim frontmatter dictionary sweep, no notes barrier — the
-    100 TB default: nothing pins the full notes table in the object
-    store) when no ``user_filter``/``checkpoint_dir`` is given, else
-    the barrier path the filter/checkpoint semantics require.  Pass
-    ``True`` to pin notes explicitly — worth it only when several
-    consumers will re-read the notes table AND it fits the object
-    store (≲10^7 notes per 100 GB of aggregate store); pass ``False``
-    to force streaming.
     """
-    if link_mode == "shuffle":
-        if user_filter is not None:
-            raise ValueError(
-                "link_mode='shuffle' is the single-pass fused build — "
-                "a user_filter needs the notes barrier; use the "
-                "broadcast mode"
-            )
-        from ..stages.linking import link_edges_fused
-
-        notes = extract_notes(docs, batch_size=extract_batch_size,
-                              strict_lists=strict_lists)
-        edges = link_edges_fused(
-            docs,
-            num_partitions=num_link_partitions,
-            drop_unresolved=drop_unresolved,
-            include_tags=include_tags,
-            strict_lists=strict_lists,
-            batch_size=extract_batch_size,
-        )
-        if include_child_of:
-            edges = edges.union(child_of_edges(docs))
-        return GraphResult(
-            notes=notes,
-            mentions=explode_mentions(notes),
-            edges=edges,
-            triples=canonicalize(edges, directed=directed),
-            dictionary=None,
-            link_topology="shuffle-fused",
-        )
-    if link_mode not in ("broadcast", "auto"):
-        raise ValueError(f"unknown link_mode {link_mode!r}")
-
     notes = extract_notes(docs, batch_size=extract_batch_size,
                           strict_lists=strict_lists)
     if user_filter is not None:
         notes = notes.map_batches(user_filter, batch_format="pyarrow")
     if materialize_notes is None:
-        # auto: a filter forces the barrier (checkpoint handled below —
-        # it is its own resume-point barrier); otherwise select by
-        # estimated input size — a small vault (<1 GiB) is faster with
-        # the one-parse barrier, while large or UNKNOWN-size inputs
-        # take the streaming path (the scale-safe default: never pin
-        # an unbounded notes table on a size guess)
-        if user_filter is not None:
-            materialize_notes = True
-        else:
-            # NEVER call docs.size_bytes() here — on a lazy derived
-            # dataset it EXECUTES the whole upstream pipeline (a full
-            # extra pass over the input just to pick a path)
-            materialize_notes = (
-                nbytes := _estimate_input_bytes(docs)
-            ) is not None and nbytes < (1 << 30)
+        # NEVER call docs.size_bytes() here — on a lazy derived dataset
+        # it EXECUTES the whole upstream pipeline (a full extra pass
+        # over the input just to pick a path)
+        materialize_notes = (
+            nbytes := _estimate_input_bytes(docs)
+        ) is not None and nbytes < (1 << 30)
+    barrier = bool(materialize_notes or checkpoint_dir
+                   or user_filter is not None)
 
     if checkpoint_dir:
         from ..state import checkpoint_dataset
@@ -275,90 +208,51 @@ def build_graph(
         notes = checkpoint_dataset(
             notes, checkpoint_dir + "/notes", lineage="extract_notes"
         )
-        dictionary = build_dictionary(notes)
-    elif materialize_notes:
+    elif barrier:
         notes = notes.materialize()
-        dictionary = build_dictionary(notes)
-    else:
-        # streaming mode: dictionary from a cheap frontmatter-only
-        # sweep (Phase A), so the main extract→link→canonicalize
-        # pipeline runs with NO materialization barrier.  notes stays
-        # lazy (re-executes extract if consumed — callers wanting the
-        # notes table should materialize/checkpoint it themselves).
-        if user_filter is not None:
-            # the slim sweep can't see user filters on extracted
-            # columns — fall back to the barrier for correctness
-            notes = notes.materialize()
-            dictionary = build_dictionary(notes)
-        else:
-            dictionary = None  # streaming: resolved below (single/two pass)
 
     mentions = explode_mentions(notes)
-    edges = None  # set early only when auto selects the combined shuffle
+    edges = None  # set early only when the guard selects the shuffle
     link_topology = "broadcast"
-    if not (materialize_notes or checkpoint_dir or user_filter is not None):
-        # streaming mode: the triples lineage reads mentions STRAIGHT
-        # from the documents (parse_doc fast mode — no md5/word-count/
-        # JSON, no intermediate notes table); `mentions`/`notes` above
-        # remain the lazy full-attribute views for other consumers
-        if single_pass:
-            # ONE corpus read: the same parse emits mention rows AND
-            # dictionary partials; only the combined derived table
-            # (a few % of input bytes) is materialized.  The two-pass
-            # variant reads the corpus twice — at high parallelism the
-            # second read is pure storage-bandwidth cost that extra
-            # cpus cannot reduce (see extract_mentions_and_dict).
-            from ..stages.extract import (
-                combined_dict_partials,
-                combined_mentions,
-                extract_mentions_and_dict,
-            )
-            from ..stages.linking import _merge_dict_partials
-
-            combined = extract_mentions_and_dict(
-                docs,
-                batch_size=extract_batch_size,
-                strict_lists=strict_lists,
-                include_tags=include_tags,
-            ).materialize()
-            if link_mode == "auto" and _dict_exceeds_broadcast(
-                combined, max_broadcast_entries, max_broadcast_bytes
-            ):
-                # dictionary too large for a driver merge + ray.put
-                # broadcast — shuffle-join the SAME materialized table
-                # instead (no re-read, no driver-side dictionary)
-                from ..stages.linking import link_combined_shuffle
-
-                edges = link_combined_shuffle(
-                    combined,
-                    num_partitions=num_link_partitions,
-                    drop_unresolved=drop_unresolved,
-                )
-                link_topology = "shuffle-combined"
-                dictionary = None
-                link_input = None
-            else:
-                link_input = combined_mentions(combined)
-                dictionary = _merge_dict_partials(
-                    combined_dict_partials(combined)
-                )
-        else:
-            from ..stages.extract import extract_mentions_direct
-            from ..stages.linking import build_dictionary_from_docs
-
-            dictionary = build_dictionary_from_docs(docs)
-            link_input = extract_mentions_direct(
-                docs,
-                batch_size=extract_batch_size,
-                strict_lists=strict_lists,
-                include_tags=include_tags,
-            )
-    else:
+    if barrier:
+        dictionary = build_dictionary(notes)
         link_input = mentions
         if not include_tags:
             link_input = mentions.filter(
                 expr="kind == 'link' or kind == 'embed' or kind == 'media'"
             )
+    else:
+        # ONE corpus read: the same parse emits mention rows AND
+        # dictionary partials; only that combined derived table (a few
+        # % of input bytes) is materialized, and both topologies read it
+        from ..stages.extract import (
+            combined_dict_partials,
+            combined_mentions,
+            extract_mentions_and_dict,
+        )
+        from ..stages.linking import _merge_dict_partials, link_combined_shuffle
+        from .resident import exchange_width
+
+        combined = extract_mentions_and_dict(
+            docs,
+            batch_size=extract_batch_size,
+            strict_lists=strict_lists,
+            include_tags=include_tags,
+        ).materialize()
+        rows = combined.count()  # block metadata
+        if _dict_exceeds_broadcast(combined, rows):
+            # too large for a driver merge + ray.put broadcast —
+            # shuffle-join the SAME table (no re-read, no dictionary)
+            edges = link_combined_shuffle(
+                combined,
+                num_partitions=exchange_width(rows, 64),
+                drop_unresolved=drop_unresolved,
+            )
+            link_topology = "shuffle-combined"
+            dictionary = None
+        else:
+            dictionary = _merge_dict_partials(combined_dict_partials(combined))
+            link_input = combined_mentions(combined)
     if edges is None:
         edges = link_mentions(
             link_input,
@@ -368,12 +262,10 @@ def build_graph(
             drop_unresolved=drop_unresolved,
         )
     if include_child_of:
-        # in streaming mode `notes` is lazy — derive child_of from the
-        # raw docs (doc_id is present verbatim) so the full extract
-        # doesn't re-execute just to read one column
-        child_src = docs if (not materialize_notes and not checkpoint_dir
-                             and user_filter is None) else notes
-        edges = edges.union(child_of_edges(child_src))
+        # streaming: `notes` is lazy — derive child_of from the raw docs
+        # (doc_id is present verbatim) so the full extract doesn't
+        # re-execute just to read one column
+        edges = edges.union(child_of_edges(notes if barrier else docs))
 
     triples = canonicalize(edges, directed=directed)
     return GraphResult(

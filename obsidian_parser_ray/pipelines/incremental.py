@@ -405,24 +405,6 @@ def _winners(cands: pa.Table) -> pa.Table:
     return cands.group_by(["kind", "key"]).aggregate([("owner", "min")])
 
 
-def _dictionary(cands: pa.Table):
-    from ..stages.linking import ArrowLinkDictionary
-
-    w = _winners(cands)
-
-    def split(kind: str) -> pa.Table:
-        return w.filter(pc.equal(w["kind"], kind))
-
-    full, short, alias = split("full"), split("short"), split("alias")
-    return ArrowLinkDictionary(
-        full_keys=_arr(full["key"]),
-        short_keys=_arr(short["key"]),
-        short_vals=_arr(short["owner_min"]),
-        alias_keys=_arr(alias["key"]),
-        alias_vals=_arr(alias["owner_min"]),
-    )
-
-
 def incremental_update(base_dir: str, delta_docs, removed_ids=(), *,
                        extract_batch_size: int | None = None,
                        strict_lists: bool = False):
@@ -436,7 +418,8 @@ def incremental_update(base_dir: str, delta_docs, removed_ids=(), *,
 
     from ..stages.canonicalize import _combine_batch
     from ..stages.extract import explode_mentions_batch, extract_notes
-    from ..stages.linking import child_of_batch, link_batch
+    from ..stages.linking import (child_of_batch, first_wins_dictionary,
+                                  link_batch)
 
     man = _load_manifest(base_dir)
     B = int(man["num_buckets"])
@@ -501,8 +484,8 @@ def incremental_update(base_dir: str, delta_docs, removed_ids=(), *,
     cands = cands.filter(pc.and_(
         _isin(cands, "key", cited),
         pc.invert(_isin(cands, "owner", owners))))
-    dictionary = _dictionary(pa.concat_tables([
-        cands, cand_d.filter(_isin(cand_d, "key", cited))]))
+    dictionary = first_wins_dictionary(pa.concat_tables([
+        cands, cand_d.filter(_isin(cand_d, "key", cited))]), "owner")
 
     linked = link_batch(mentions_relink, dictionary)
     alive = pa.table({"doc_id": pa.concat_arrays(

@@ -88,12 +88,12 @@ def parse_doc(doc_id: str, spans: list[dict], *, strict_lists: bool = False,
     a YAML syntax error — reference note_tags.rs:36 ``?``); the lenient
     default stringifies scalars.
 
-    ``with_attrs=False`` is the LINK-PATH fast mode: mention
+    ``with_attrs=False`` is the mention-only mode: mention
     extraction, note_name and aliases only — skipping the content
-    md5, word/byte counts and properties JSON (measured ~35% of
-    extract CPU) that the triples lineage never reads.  The returned
-    note dict then carries only (doc_id, note_name, aliases,
-    parse_error).
+    md5, word/byte counts and properties JSON.  The returned note dict
+    then carries only (doc_id, note_name, aliases, parse_error); it is
+    the row-for-row reference of the vectorized scanner (:mod:`.scan`,
+    tests/test_scan.py).
     """
     from ..parser import ListTypeError
 
@@ -476,38 +476,10 @@ MENTIONS_SCHEMA = pa.schema(
 )
 
 
-def extract_mentions_direct(docs, *, batch_size: int | None = None,
-                            strict_lists: bool = False,
-                            include_tags: bool = True):
-    """documents → mention rows DIRECTLY (the link-path fast lane).
-
-    Skips the note-attribute work (`parse_doc(with_attrs=False)`: no
-    content md5, word/byte counts, properties JSON — ~35% of extract
-    CPU) and the intermediate notes table entirely; semantically
-    identical mention rows to ``explode_mentions(extract_notes(docs))``
-    (asserted in tests).  Use when only the edges/triples lineage is
-    consumed — ``build_graph``'s streaming mode does.
-
-    Mention extraction runs through the flat-buffer scanner
-    (:mod:`.scan`): the span structs are never materialized as Python
-    dicts, which is worth ~1.6× aggregate throughput at 12 parallel
-    workers on the memory-bus-bound host (row-for-row parity with the
-    ``parse_doc`` loop is differential-tested in tests/test_scan.py).
-    """
-
-    def rows(batch: pa.Table) -> pa.Table:
-        return _scan_mention_table(
-            batch, strict_lists=strict_lists, include_tags=include_tags
-        )
-
-    return docs.map_batches(rows, batch_format="pyarrow", batch_size=batch_size)
-
-
 def _scan_mention_table(batch: pa.Table, *, strict_lists: bool,
-                        include_tags: bool,
-                        with_aliases: bool = False):
-    """Scanner output → MENTIONS_SCHEMA table (+ optional per-doc
-    aliases list for the dictionary partials)."""
+                        include_tags: bool):
+    """Scanner output → (MENTIONS_SCHEMA table, per-doc aliases list
+    for the dictionary partials)."""
     import pyarrow.compute as pc
 
     from .scan import scan_mentions_batch
@@ -534,7 +506,7 @@ def _scan_mention_table(batch: pa.Table, *, strict_lists: bool,
                 value_set=pa.array(["tag_inline", "tag_frontmatter"]),
             ))
         )
-    return (out, aliases) if with_aliases else out
+    return out, aliases
 
 
 COMBINED_SCHEMA = pa.schema(
@@ -554,29 +526,28 @@ def extract_mentions_and_dict(docs, *, batch_size: int | None = None,
                               strict_lists: bool = False,
                               include_tags: bool = True):
     """ONE corpus read → union-tagged (mention rows ∪ per-block
-    dictionary partials).
+    dictionary partials) — the streaming build's only pass over the
+    documents.
 
-    The two-pass streaming mode reads the full documents table TWICE
-    (slim dictionary sweep, then mention extraction) — at high
-    parallelism the single-node measurement is STORAGE-BANDWIDTH
-    bound, so the second read is pure non-scaling cost (measured: the
-    32 GB / 3.84M-doc corpus reads at ~900 MB/s with 24 cpus — each
-    full pass costs ~35 s that more cpus cannot reduce).  This stage
-    parses each document once and emits both row families; the caller
-    materializes the combined output (mentions + partials ≈ a few % of
-    input bytes) and splits it with :func:`combined_mentions` /
-    :func:`combined_dict_partials` — corpus bytes cross storage
-    exactly once.
+    Each document is parsed once by the flat-buffer scanner
+    (:mod:`.scan`: span structs are never materialized as Python
+    dicts) and emits both row families, so corpus bytes cross storage
+    exactly once — at high parallelism the single-node build is
+    storage-bandwidth bound (the 32 GB / 3.84M-doc corpus reads at
+    ~900 MB/s with 24 cpus), and a second read would be non-scaling
+    cost.  The caller materializes the combined output (mentions +
+    partials ≈ a few % of input bytes) and either splits it with
+    :func:`combined_mentions` / :func:`combined_dict_partials` for the
+    broadcast linker or shuffles it whole through
+    ``linking.link_combined_shuffle``.  The mention rows equal
+    ``explode_mentions(extract_notes(docs))`` (asserted in tests).
     """
     def rows(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         from .linking import _dict_partial_batch
         from .scan import note_names_array
 
         m, aliases = _scan_mention_table(
-            batch, strict_lists=strict_lists, include_tags=include_tags,
-            with_aliases=True,
+            batch, strict_lists=strict_lists, include_tags=include_tags
         )
         ids = batch["doc_id"]
         if isinstance(ids, pa.ChunkedArray):

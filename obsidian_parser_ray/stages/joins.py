@@ -624,8 +624,10 @@ def broadcast_join_unique(left, right, *, left_key: str,
     ``max_broadcast_bytes`` (wide value columns can be multi-GB under
     the row guard alone; ``None`` reads :data:`BROADCAST_MAX_ROWS` /
     :data:`BROADCAST_MAX_BYTES` at call time) the call falls back to
-    :func:`hash_join_unique` — the broadcast cliff is a deliberate,
-    guarded decision, not a silent OOM.  This makes
+    :func:`hash_join_unique` with ``salt="auto"`` (one column-pruned
+    pass over the left lineage measures its key skew, so a hub key
+    cannot become one straggler task) — the broadcast cliff is a
+    deliberate, guarded decision, not a silent OOM.  This makes
     the operator a size-ADAPTIVE join: pass any right side whose size
     is data-dependent (a filtered dimension, a pre-aggregated table)
     and the plan picks map-side vs shuffle at run time.
@@ -671,9 +673,11 @@ def broadcast_join_unique(left, right, *, left_key: str,
     # the pa.concat_tables below assembles it ON THE DRIVER —
     # size_bytes() on a materialized dataset is metadata-only (free)
     if n_right > max_broadcast_rows or right.size_bytes() > max_broadcast_bytes:
+        # unlike the map-side probe, the shuffle sends all rows of a
+        # key to one task: measure the left key skew, salt hub keys
         return hash_join_unique(
             left, right, left_key=left_key, right_key=right_key, how=how,
-            suffix=suffix, num_partitions=num_partitions,
+            suffix=suffix, num_partitions=num_partitions, salt="auto",
         )
 
     r_tbl = pa.concat_tables(

@@ -1,20 +1,32 @@
-"""Entity linking: mentions → resolved edges via a broadcast dictionary.
+"""Entity linking: mentions → resolved edges, one kernel, two topologies.
 
 Re-expresses the reference's two-phase graph build
-(/root/reference/src/vault/vault_petgraph/graph_builder.rs:88-223):
+(``src/vault/vault_petgraph/graph_builder.rs:88-223``):
 
-* Phase A (index build, graph_builder.rs:88-114) becomes
-  :func:`build_dictionary` — a streaming pass over the tiny projection
-  ``(doc_id, note_name, aliases)`` of the notes table that folds the
-  three lookup maps with **first-wins = min(order_key)** semantics
-  (index.rs:13 ``or_insert`` under walkdir order → deterministic
-  ``min`` in our engine, SURVEY.md §1.4).
-* Phase B (edge build, graph_builder.rs:196-223) becomes
-  :class:`EntityLinker` — an actor-pool ``map_batches`` stage.  The
-  dictionary is ``ray.put`` ONCE on the driver and deserialized ONCE
-  per actor in ``__init__`` (never re-shipped per batch).  The
-  reference's single consumer-thread graph mutator disappears: edges
-  are just Dataset rows.
+* Phase A (index build, graph_builder.rs:88-114): the three lookup
+  maps with **first-wins = min(order_key)** semantics (index.rs:13
+  ``or_insert`` under walkdir order → deterministic ``min`` in our
+  engine, SURVEY.md §1.4).  Workers min-reduce ``(kind, key, val)``
+  partials per block; :func:`first_wins_dictionary` is the one merge
+  of such rows into an :class:`ArrowLinkDictionary`, whoever holds
+  them — the driver (:func:`build_dictionary`,
+  :func:`_merge_dict_partials`), a shuffle partition
+  (:func:`link_combined_shuffle`) or the incremental graph base.
+* Phase B (edge build, graph_builder.rs:196-223): :func:`link_batch`,
+  the one vectorized resolution kernel, in one of two topologies:
+
+  - **broadcast** (:func:`link_mentions`): the dictionary is
+    ``ray.put`` ONCE and deserialized once per :class:`EntityLinker`
+    actor;
+  - **shuffle** (:func:`link_combined_shuffle`): the single-pass
+    combined table (mention rows ∪ dictionary partials, see
+    ``stages.extract.extract_mentions_and_dict``) is hash-partitioned
+    on the lookup key, so each partition holds every partial of its
+    keys and merges them before linking — no driver-side dictionary.
+
+  ``pipelines.graph.build_graph`` picks the topology from the measured
+  dictionary side of the combined table it already materialized:
+  broadcast below the guard, the shuffle above it.
 
 Resolution rule (index.rs:21-27 + alias extension required by
 BASELINE.json north_star): a key containing ``/`` is looked up in the
@@ -22,11 +34,6 @@ full-path map only; otherwise the short-name (stem) map, then — our
 extension — the alias map.  A miss drops the mention
 (graph_builder.rs:213-215 ``filter_map`` inner-join semantics); we
 carry it as ``resolved=false`` so callers can keep unresolved metrics.
-
-Scale: the dictionary is the *small side* of the join — broadcast is
-correct for ≲10^8 notes (a few GB).  Beyond that, switch to the
-documented shuffle-join fallback (SURVEY.md §2.4 J1): hash-partition
-mentions and dictionary on ``target_key`` and join per bucket.
 """
 
 from __future__ import annotations
@@ -132,15 +139,7 @@ def _dict_partial_batch(t: pa.Table) -> pa.Table:
     min-reduced per key — vectorized Arrow, runs on workers."""
     import pyarrow.compute as pc
 
-    ids = t["doc_id"]
-    if isinstance(ids, pa.ChunkedArray):
-        ids = ids.combine_chunks()
-    names = t["note_name"]
-    if isinstance(names, pa.ChunkedArray):
-        names = names.combine_chunks()
-    aliases = t["aliases"]
-    if isinstance(aliases, pa.ChunkedArray):
-        aliases = aliases.combine_chunks()
+    ids, names, aliases = (_arr(t[c]) for c in ("doc_id", "note_name", "aliases"))
     n = len(ids)
     flat_alias = aliases.flatten()
     alias_ids = pc.take(ids, pc.list_parent_indices(aliases))
@@ -167,50 +166,6 @@ def _dict_partial_batch(t: pa.Table) -> pa.Table:
     ).select(["kind", "key", "val"])
 
 
-def _slim_dict_batch(t: pa.Table) -> pa.Table:
-    """documents (span rows) → dictionary partials DIRECTLY.
-
-    Parses only the frontmatter span per doc (for aliases) — skips
-    content join, link/tag scan, hashing.  Lets the dictionary pass run
-    as a cheap first sweep so the main extract→link→canonicalize
-    pipeline can stream with NO materialization barrier.
-
-    Span selection is Arrow-flat (stages/scan.py): the text spans are
-    never materialized as Python objects, so the sweep's per-doc cost
-    is the YAML parse alone — the full-span ``to_pylist`` walk was the
-    memory-bus hot spot at high worker counts."""
-    from ..parser import frontmatter_aliases, parse_properties
-    from .scan import frontmatter_texts_per_doc, note_names_array
-
-    fm_texts = frontmatter_texts_per_doc(t)
-    aliases = [
-        frontmatter_aliases(parse_properties(fm)[0]) for fm in fm_texts
-    ]
-    ids = t["doc_id"]
-    if isinstance(ids, pa.ChunkedArray):
-        ids = ids.combine_chunks()
-    ids = ids.cast(pa.string())
-    slim = pa.table(
-        {
-            "doc_id": ids,
-            "note_name": note_names_array(ids),
-            "aliases": pa.array(aliases, pa.list_(pa.string())),
-        }
-    )
-    return _dict_partial_batch(slim)
-
-
-def build_dictionary_from_docs(docs, *, batch_size: int | None = None) -> "ArrowLinkDictionary":
-    """Dictionary via a slim frontmatter-only sweep over the documents
-    table (Phase A without the full parse).  Equivalent result to
-    ``build_dictionary(extract_notes(docs))`` — used when the caller
-    wants the main pipeline to stream without a notes barrier."""
-    partials = docs.map_batches(
-        _slim_dict_batch, batch_format="pyarrow", batch_size=batch_size
-    )
-    return _merge_dict_partials(partials)
-
-
 def build_dictionary(notes) -> "ArrowLinkDictionary":
     """Distributed partial fold + tiny driver merge → Arrow broadcast form.
 
@@ -218,8 +173,7 @@ def build_dictionary(notes) -> "ArrowLinkDictionary":
     Arrow ``group_by``); the driver only merges the pre-reduced
     partials — first-wins = global ``min(order_key)``, deterministic
     under unordered block arrival.  All vectorized — no per-entry
-    Python objects anywhere.  At 10^12 docs this becomes the
-    shuffle-join fallback instead (see module docstring + J1).
+    Python objects anywhere.
     """
     partials = notes.select_columns(["doc_id", "note_name", "aliases"]).map_batches(
         _dict_partial_batch, batch_format="pyarrow"
@@ -227,47 +181,50 @@ def build_dictionary(notes) -> "ArrowLinkDictionary":
     return _merge_dict_partials(partials)
 
 
+_EMPTY_PARTIALS = pa.table(
+    {c: pa.array([], pa.string()) for c in ("kind", "key", "val")}
+)
+
+
 def _merge_dict_partials(partials) -> "ArrowLinkDictionary":
-    """Global first-wins merge of per-block dictionary partials.
+    """Driver-side first-wins merge of a Dataset of per-block
+    ``(kind, key, val)`` dictionary partials.
 
-    Partials are already min-reduced per block, so the driver-side
-    Arrow ``group_by`` runs over ~one row per key — a single vectorized
-    C++ pass (measured faster than a Ray groupby shuffle until the
-    dictionary itself stops fitting the driver, which is also when the
-    J1 shuffle-join path takes over entirely)."""
-    import pyarrow.compute as pc
-
+    Partials are already min-reduced per block, so the Arrow
+    ``group_by`` runs over ~one row per key — a single vectorized C++
+    pass, while the dictionary fits the broadcast guard (past it,
+    :func:`link_combined_shuffle` merges per partition instead)."""
     tables = [
         b
         for b in partials.iter_batches(batch_size=None, batch_format="pyarrow")
         if b.num_rows
     ]
-    empty = pa.array([], pa.string())
-    if not tables:
-        return ArrowLinkDictionary(empty, empty, empty, empty, empty)
-    merged = (
-        pa.concat_tables(tables)
-        .group_by(["kind", "key"])
-        .aggregate([("val", "min")])
+    return first_wins_dictionary(
+        pa.concat_tables(tables) if tables else _EMPTY_PARTIALS
     )
 
+
+def first_wins_dictionary(rows: pa.Table, val: str = "val") -> "ArrowLinkDictionary":
+    """``(kind, key, <val>)`` candidate rows → :class:`ArrowLinkDictionary`.
+
+    The one first-wins merge: per ``(kind, key)`` the smallest ``val``
+    (= order_key = doc_id) wins, then the winners split by kind into
+    the full / short / alias maps.  ``rows`` may hold any number of
+    candidates per key, in any order."""
+    import pyarrow.compute as pc
+
+    won = rows.group_by(["kind", "key"]).aggregate([(val, "min")])
+
     def split(kind: str) -> pa.Table:
-        return merged.filter(pc.equal(merged["kind"], kind)).combine_chunks()
+        return won.filter(pc.equal(won["kind"], kind))
 
-    full = split("full")
-    short = split("short")
-    alias = split("alias")
-
-    def col(t: pa.Table, name: str) -> pa.Array:
-        c = t[name]
-        return c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
-
+    full, short, alias = split("full"), split("short"), split("alias")
     return ArrowLinkDictionary(
-        full_keys=col(full, "key"),
-        short_keys=col(short, "key"),
-        short_vals=col(short, "val_min"),
-        alias_keys=col(alias, "key"),
-        alias_vals=col(alias, "val_min"),
+        full_keys=_arr(full["key"]),
+        short_keys=_arr(short["key"]),
+        short_vals=_arr(short[f"{val}_min"]),
+        alias_keys=_arr(alias["key"]),
+        alias_vals=_arr(alias[f"{val}_min"]),
     )
 
 
@@ -295,9 +252,9 @@ _LITERAL_ARR = pa.array(sorted(_LITERAL_KINDS), pa.string())
 def link_batch(batch: pa.Table, d: "ArrowLinkDictionary") -> pa.Table:
     """Vectorized resolution of one mentions batch against a dictionary.
 
-    Shared by the broadcast actor pool (:class:`EntityLinker`) and the
-    shuffle-join fallback (:func:`link_mentions_shuffle`) — identical
-    semantics by construction.
+    Shared by the broadcast actor pool (:class:`EntityLinker`), the
+    shuffle topology (:func:`link_combined_shuffle`) and the
+    incremental update — identical semantics by construction.
     """
     import pyarrow.compute as pc
 
@@ -456,46 +413,23 @@ def child_of_edges(notes):
 
 
 # ---------------------------------------------------------------------------
-# J1 shuffle-join fallback (SURVEY.md §2.4): when the dictionary
-# exceeds broadcast size (≳10^8 notes), co-locate mentions and
-# dictionary entries by key hash and resolve per partition.
+# J1 shuffle topology (SURVEY.md §2.4): past the broadcast guard,
+# co-locate mentions and dictionary partials by key hash and resolve
+# per partition.
 # ---------------------------------------------------------------------------
 
 
 def _resolve_link_partition(g: pa.Table) -> pa.Table:
     """One shuffle partition → edges: first-wins merge of the
     partition's dictionary partials, then the SAME vectorized
-    resolution kernel as the broadcast path (:func:`link_batch`).
-    Shared by :func:`link_mentions_shuffle` and
-    :func:`link_edges_fused`."""
+    resolution kernel as the broadcast path (:func:`link_batch`)."""
     import pyarrow.compute as pc
 
     is_dict = _arr(g["is_dict"])
-    dict_side = g.filter(is_dict)
     mention_side = g.filter(pc.invert(is_dict))
     if mention_side.num_rows == 0:
-        return pa.Table.from_arrays(
-            [pa.array([], t) for t in EDGES_SCHEMA.types],
-            schema=EDGES_SCHEMA,
-        )
-    # global first-wins merge of this partition's dict partials
-    merged = (
-        dict_side.select(["kind", "key", "val"])
-        .group_by(["kind", "key"])
-        .aggregate([("val", "min")])
-    )
-
-    def split(kind: str) -> pa.Table:
-        return merged.filter(pc.equal(merged["kind"], kind)).combine_chunks()
-
-    full, short, alias = split("full"), split("short"), split("alias")
-    d = ArrowLinkDictionary(
-        full_keys=_arr(full["key"]),
-        short_keys=_arr(short["key"]),
-        short_vals=_arr(short["val_min"]),
-        alias_keys=_arr(alias["key"]),
-        alias_vals=_arr(alias["val_min"]),
-    )
+        return EDGES_SCHEMA.empty_table()
+    d = first_wins_dictionary(g.filter(is_dict).select(["kind", "key", "val"]))
     batch = pa.table(
         {
             "kind": _arr(mention_side["kind"]),
@@ -508,268 +442,26 @@ def _resolve_link_partition(g: pa.Table) -> pa.Table:
     return link_batch(batch, d)
 
 
-def link_mentions_shuffle(mentions, docs, *, num_partitions: int = 64,
-                          drop_unresolved: bool = True,
-                          batch_size: int | None = None):
-    """Shuffle-join linking: no driver-side dictionary, no broadcast.
-
-    Both sides are hash-partitioned on the lookup key (mentions on
-    ``target_key``; dictionary entries on ``key``), so every partition
-    holds ALL dictionary entries for its keys — global first-wins
-    (min order_key) is preserved because the per-partition merge sees
-    every partial for a key.  Within a partition, resolution reuses the
-    SAME vectorized kernel as the broadcast path
-    (:func:`link_batch`), so the two paths are semantics-identical.
-
-    ``docs`` is the documents Dataset (the dictionary side is derived
-    via the slim frontmatter sweep).  Literal-kind mentions (tags,
-    media) never need the dictionary, so they bypass the shuffle
-    entirely and are linked in-place with an empty dictionary.
-    """
-    import pyarrow.compute as pc
-
-    lit_list = sorted(_LITERAL_KINDS)
-    lit_arr = pa.array(lit_list, pa.string())
-    empty = pa.array([], pa.string())
-    empty_dict = ArrowLinkDictionary(empty, empty, empty, empty, empty)
-
-    from ..hashing import hash_bucket_array
-
-    def part_of(keys: pa.Array) -> pa.Array:
-        return hash_bucket_array(keys, num_partitions)
-
-    # literal mentions bypass: resolved verbatim, no shuffle
-    def literal_edges(t: pa.Table) -> pa.Table:
-        mask = pc.is_in(_arr(t["kind"]), value_set=lit_arr)
-        return link_batch(t.filter(mask), empty_dict)
-
-    literals = mentions.map_batches(
-        literal_edges, batch_format="pyarrow", batch_size=batch_size
-    )
-
-    # lookup mentions → tagged rows (part, is_dict=0, payload)
-    def mention_rows(t: pa.Table) -> pa.Table:
-        mask = pc.invert(pc.is_in(_arr(t["kind"]), value_set=lit_arr))
-        t = t.filter(mask)
-        key = _arr(t["target_key"])
-        return pa.table(
-            {
-                "part": part_of(key),
-                "is_dict": pa.array([False] * len(key), pa.bool_()),
-                "kind": _arr(t["kind"]),
-                "key": key,
-                "val": pa.nulls(len(key), pa.string()),
-                "subj": _arr(t["subj"]),
-                "span_offset": _arr(t["span_offset"]),
-                "occurrence_idx": _arr(t["occurrence_idx"]),
-            }
-        )
-
-    # dictionary partials → tagged rows (part, is_dict=1, kind/key/val)
-    def dict_rows(t: pa.Table) -> pa.Table:
-        p = _slim_dict_batch(t)  # (kind, key, val) pre-reduced per block
-        key = _arr(p["key"])
-        n = len(key)
-        return pa.table(
-            {
-                "part": part_of(key),
-                "is_dict": pa.array([True] * n, pa.bool_()),
-                "kind": _arr(p["kind"]),
-                "key": key,
-                "val": _arr(p["val"]),
-                "subj": pa.nulls(n, pa.string()),
-                "span_offset": pa.nulls(n, pa.int32()),
-                "occurrence_idx": pa.nulls(n, pa.int32()),
-            }
-        )
-
-    tagged = mentions.map_batches(
-        mention_rows, batch_format="pyarrow", batch_size=batch_size
-    ).union(docs.map_batches(dict_rows, batch_format="pyarrow", batch_size=batch_size))
-
-    edges = tagged.groupby("part").map_groups(
-        _resolve_link_partition, batch_format="pyarrow"
-    ).union(literals)
-    if drop_unresolved:
-        edges = edges.map_batches(
-            lambda t: t.filter(pc.equal(t["resolved"], True)),
-            batch_format="pyarrow",
-        )
-    return edges
-
-
-def link_edges_fused(docs, *, num_partitions: int = 64,
-                     drop_unresolved: bool = True,
-                     include_tags: bool = True,
-                     strict_lists: bool = False,
-                     batch_size: int | None = None):
-    """SINGLE-PASS shuffle-join edge build: docs → edges with ONE read.
-
-    The slim-sweep + broadcast path parses every document TWICE (the
-    frontmatter sweep for Phase A, the full extract for Phase B) and
-    holds the whole dictionary on the driver.  This fused path parses
-    each document ONCE: the extract kernel emits, per doc, BOTH its
-    mention rows and its dictionary partial rows (full/short/alias,
-    min-reduced per block) into one tagged union table, hash-bucketed
-    on the lookup key; each partition then holds every dictionary
-    entry for its keys and resolves with the SAME vectorized kernel
-    (:func:`link_batch`) as every other path.  Literal-kind mentions
-    (tags/media) flow through the shuffle too (they resolve verbatim
-    in any partition) — keeping the pipeline a single consumer of the
-    read, so nothing re-executes.
-
-    No driver-side dictionary, no broadcast ceiling, no second parse:
-    this is the mandatory topology at 10^12 docs and an option
-    everywhere (semantics proven equal to the broadcast path in
-    tests).  Shuffle volume = mentions + pre-reduced dict partials.
-    """
-    import pyarrow.compute as pc
-
-    from ..hashing import hash_bucket_array
-    from .extract import parse_doc
-
-    tag_kinds = ("tag_inline", "tag_frontmatter")
-
-    def doc_rows(t: pa.Table) -> pa.Table:
-        doc_ids = t["doc_id"].to_pylist()
-        spans_col = t["spans"].to_pylist()
-        m_kind, m_key, m_subj, m_off, m_occ = [], [], [], [], []
-        d_kind, d_key, d_val = [], [], []
-        for doc_id, spans in zip(doc_ids, spans_col):
-            # fast mode: mention + dictionary fields only (no
-            # md5/word-count/JSON — the edge lineage never reads them)
-            note, mentions = parse_doc(
-                doc_id, spans or [], strict_lists=strict_lists,
-                with_attrs=False,
-            )
-            for m in mentions:
-                if not include_tags and m["kind"] in tag_kinds:
-                    continue
-                m_kind.append(m["kind"])
-                m_key.append(m["target_key"])
-                m_subj.append(doc_id)
-                m_off.append(m["span_offset"])
-                m_occ.append(m["occurrence_idx"])
-            d_kind.append("full")
-            d_key.append(doc_id)
-            d_val.append(doc_id)
-            d_kind.append("short")
-            d_key.append(note["note_name"])
-            d_val.append(doc_id)
-            for a in note["aliases"]:
-                d_kind.append("alias")
-                d_key.append(a)
-                d_val.append(doc_id)
-        # per-block min-reduce of the dictionary partials (first-wins
-        # is a global min, so block partials compose exactly)
-        dict_t = (
-            pa.table(
-                {
-                    "kind": pa.array(d_kind, pa.string()),
-                    "key": pa.array(d_key, pa.string()),
-                    "val": pa.array(d_val, pa.string()),
-                }
-            )
-            .group_by(["kind", "key"])
-            .aggregate([("val", "min")])
-        )
-        dict_t = dict_t.rename_columns(
-            ["val" if c == "val_min" else c for c in dict_t.column_names]
-        )
-        n_d = dict_t.num_rows
-        n_m = len(m_key)
-        m_key_arr = pa.array(m_key, pa.string())
-        d_key_arr = _arr(dict_t["key"])
-        # literal kinds (tags/media) resolve verbatim in ANY partition —
-        # bucket them by subj, not key: a hot tag value ('todo', a
-        # language tag) would otherwise funnel millions of rows into
-        # one key partition
-        m_kind_arr = pa.array(m_kind, pa.string())
-        literal_mask = pc.is_in(m_kind_arr, value_set=_LITERAL_ARR)
-        m_subj_arr = pa.array(m_subj, pa.string())
-        m_part = pc.if_else(
-            literal_mask,
-            hash_bucket_array(m_subj_arr, num_partitions),
-            hash_bucket_array(m_key_arr, num_partitions),
-        )
-        return pa.table(
-            {
-                "part": pa.concat_arrays(
-                    [
-                        m_part.combine_chunks()
-                        if isinstance(m_part, pa.ChunkedArray)
-                        else m_part,
-                        hash_bucket_array(d_key_arr, num_partitions),
-                    ]
-                ),
-                "is_dict": pa.concat_arrays(
-                    [
-                        pa.array([False] * n_m, pa.bool_()),
-                        pa.array([True] * n_d, pa.bool_()),
-                    ]
-                ),
-                "kind": pa.concat_arrays(
-                    [m_kind_arr, _arr(dict_t["kind"])]
-                ),
-                "key": pa.concat_arrays([m_key_arr, d_key_arr]),
-                "val": pa.concat_arrays(
-                    [pa.nulls(n_m, pa.string()), _arr(dict_t["val"])]
-                ),
-                "subj": pa.concat_arrays(
-                    [m_subj_arr, pa.nulls(n_d, pa.string())]
-                ),
-                "span_offset": pa.concat_arrays(
-                    [
-                        pa.array(m_off, pa.int32()),
-                        pa.nulls(n_d, pa.int32()),
-                    ]
-                ),
-                "occurrence_idx": pa.concat_arrays(
-                    [
-                        pa.array(m_occ, pa.int32()),
-                        pa.nulls(n_d, pa.int32()),
-                    ]
-                ),
-            }
-        )
-
-    edges = (
-        docs.map_batches(doc_rows, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("part")
-        .map_groups(_resolve_link_partition, batch_format="pyarrow")
-    )
-    if drop_unresolved:
-        edges = edges.map_batches(
-            lambda t: t.filter(pc.equal(t["resolved"], True)),
-            batch_format="pyarrow",
-        )
-    return edges
-
-
 def link_combined_shuffle(combined, *, num_partitions: int = 64,
                           drop_unresolved: bool = True):
     """Shuffle-join edge build over an ALREADY-EXTRACTED combined table.
 
     ``combined`` is the output of
     :func:`..stages.extract.extract_mentions_and_dict` (mention rows ∪
-    per-block dictionary partials, one corpus parse) — typically the
-    materialized single-pass table ``build_graph`` already holds.  This
-    is the shuffle topology WITHOUT a second read: the combined rows
-    are re-tagged vectorized (no re-parse), hash-bucketed on the lookup
-    key, and each partition resolves with the SAME kernel as every
-    other path (:func:`link_batch` via :func:`_resolve_link_partition`).
-
-    Compare :func:`link_edges_fused`, which fuses extraction INTO the
-    shuffle and therefore re-reads the documents — the right shape when
-    no combined table exists yet.  When ``build_graph`` auto-detects a
-    dictionary too large to broadcast, this function turns the
-    already-paid extraction into the shuffle join, so the auto decision
-    costs zero extra passes.
+    per-block dictionary partials, one corpus parse) — in
+    ``build_graph``, the materialized single-pass table it already
+    holds, so the shuffle costs no second read.  The combined rows are
+    re-tagged vectorized (no re-parse) and hash-bucketed on the lookup
+    key; each partition holds every dictionary partial of its keys, so
+    its first-wins merge is the global one, and it resolves with the
+    SAME kernel as the broadcast path (:func:`link_batch` via
+    :func:`_resolve_link_partition`).  No driver-side dictionary, no
+    broadcast ceiling.
 
     Literal-kind mentions (tags/media) resolve verbatim in any
-    partition, so they are bucketed by ``subj`` — a hot tag value would
-    otherwise funnel millions of rows into one key partition (same
-    skew guard as :func:`link_edges_fused`).
+    partition, so they are bucketed by ``subj`` — a hot tag value
+    ('todo', a language tag) would otherwise funnel millions of rows
+    into one key partition.
     """
     import pyarrow.compute as pc
 

@@ -82,7 +82,7 @@ def _rank_within(groups: np.ndarray) -> np.ndarray:
 
 def scan_mentions_batch(batch: pa.Table, *, strict_lists: bool = False,
                         with_props: bool = False):
-    """One batch of ``(doc_id, spans)`` rows → mention arrays + slim
+    """One batch of ``(doc_id, spans)`` rows → mention arrays +
     dictionary inputs, with no per-doc Python except YAML and
     tag-bearing tokens.
 
@@ -475,41 +475,6 @@ def content_stats_per_doc(batch: pa.Table):
         for s, e in zip(starts.tolist(), ends.tolist())
     ]
     return content, n_words, n_bytes, md5_hex
-
-
-def frontmatter_texts_per_doc(batch: pa.Table):
-    """Per-doc FIRST frontmatter span text (None when absent) without
-    materializing any other span: Arrow flatten + per-doc min-offset
-    selection, ``to_pylist`` only on the selected frontmatter subset.
-    Replaces the slim dictionary sweep's full-span ``to_pylist`` walk
-    (27 KB of text per doc materialized to find one YAML block).
-    """
-    n_docs = batch.num_rows
-    spans = batch["spans"]
-    if isinstance(spans, pa.ChunkedArray):
-        spans = spans.combine_chunks()
-    lens = pc.fill_null(
-        pc.list_value_length(spans), 0
-    ).to_numpy(zero_copy_only=False).astype(np.int64)
-    flat = spans.flatten()
-    span_doc = np.repeat(np.arange(n_docs, dtype=np.int64), lens)
-    k_fm = pc.equal(
-        pc.fill_null(flat.field("kind"), ""), "frontmatter"
-    ).to_numpy(zero_copy_only=False)
-    out: list = [None] * n_docs
-    fm_idx = np.flatnonzero(k_fm)
-    if len(fm_idx):
-        offs = pc.fill_null(flat.field("offset"), 0).to_numpy(
-            zero_copy_only=False
-        ).astype(np.int64)
-        o = fm_idx[np.lexsort((fm_idx, offs[fm_idx], span_doc[fm_idx]))]
-        docs_o = span_doc[o]
-        _, first = np.unique(docs_o, return_index=True)
-        sel = o[first]
-        texts = pc.take(flat.field("text"), pa.array(sel)).to_pylist()
-        for d, txt in zip(docs_o[first], texts):
-            out[d] = txt
-    return out
 
 
 def note_names_array(doc_ids: pa.Array) -> pa.Array:

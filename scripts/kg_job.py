@@ -36,20 +36,12 @@ def main() -> None:
     ap.add_argument("--no-tags", action="store_true")
     ap.add_argument("--no-child-of", action="store_true")
     ap.add_argument("--streaming", action="store_true",
-                    help="force the slim dictionary sweep (no notes "
-                         "barrier); default auto-selects it unless a "
-                         "filter/checkpoint needs the barrier")
+                    help="force the single-pass streaming build (no "
+                         "notes barrier); default auto-selects it unless "
+                         "a filter/checkpoint needs the barrier")
     ap.add_argument("--materialize-notes", action="store_true",
                     help="force pinning the notes table (multi-consumer "
                          "small-vault case)")
-    ap.add_argument("--link-mode",
-                    choices=["auto", "broadcast", "shuffle"],
-                    default="auto",
-                    help="'auto' (default) size-selects broadcast vs the "
-                         "combined shuffle join from the measured "
-                         "dictionary; 'shuffle' forces the fused "
-                         "single-pass shuffle join (no broadcast "
-                         "dictionary)")
     ap.add_argument("--linker-concurrency", type=int, default=8)
     ap.add_argument("--num-blocks", type=int, default=None)
     ap.add_argument("--output-partitions", type=int, default=None,
@@ -82,7 +74,6 @@ def main() -> None:
             else True if args.materialize_notes
             else None
         ),
-        link_mode=args.link_mode,
     )
     manifests = write_graph(g, args.output, num_partitions=args.output_partitions)
     report = {

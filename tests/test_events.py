@@ -1640,3 +1640,34 @@ class TestTopPathsProperty:
                 p = ">".join(s[:2])
                 want[p] = want.get(p, 0) + 1
         assert got == want
+
+
+def _ray_entry():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "__ray_entry__.py"
+    spec = importlib.util.spec_from_file_location("_ray_entry_under_test", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_events_seconds_quoted_event_type(ray_session):
+    """The event_type filter is a pc.equal kernel: a quote in the value
+    reaches no expression parser, and a real type still keeps exactly
+    its rows."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    sf = "/root/testdata/sf0.001"
+    entry = _ray_entry()
+    cols = ["event_id", "s"]
+    for evil in ("it's", "purchase' or event_type != '", 'a"b\\'):
+        assert entry._events_seconds(
+            sf, event_type=evil, columns=cols).take_all() == []
+    got = entry._events_seconds(sf, event_type="purchase", columns=cols)
+    ev = pq.read_table(f"{sf}/events.parquet", columns=["event_id", "event_type"])
+    want = ev.filter(pc.equal(ev["event_type"], "purchase"))["event_id"]
+    assert sorted(r["event_id"] for r in got.take_all()) == sorted(
+        want.to_pylist())

@@ -177,15 +177,16 @@ class TestProjectProperties:
 @pytest.mark.usefixtures("ray_session")
 class TestMentionsDirect:
     def test_equivalent_to_explode_of_extract(self):
-        """The link-path fast lane (parse_doc with_attrs=False, no
-        notes table) must emit EXACTLY the mention rows of
-        explode_mentions(extract_notes(docs))."""
+        """The single-pass streaming read (scanner, no notes table)
+        must emit EXACTLY the mention rows of
+        explode_mentions(extract_notes(docs)), with and without tags."""
         import ray.data as rd
 
         from obsidian_parser_ray.corpus import spans_from_raw, spans_table
         from obsidian_parser_ray.stages.extract import (
+            combined_mentions,
             explode_mentions,
-            extract_mentions_direct,
+            extract_mentions_and_dict,
             extract_notes,
         )
 
@@ -208,17 +209,20 @@ class TestMentionsDirect:
             )
 
         classic = rows(explode_mentions(extract_notes(docs)))
-        direct = rows(extract_mentions_direct(docs))
+        direct = rows(combined_mentions(extract_mentions_and_dict(docs)))
         assert direct == classic and len(direct) > 0
 
         # include_tags=False drops exactly the tag kinds
-        no_tags = rows(extract_mentions_direct(docs, include_tags=False))
+        no_tags = rows(combined_mentions(
+            extract_mentions_and_dict(docs, include_tags=False)))
         assert no_tags == [r for r in classic if not r[1].startswith("tag")]
+        assert len(no_tags) < len(classic)
 
 
-def test_single_pass_build_equivalent_to_two_pass(ray_session):
-    """build_graph(single_pass=True) must emit the identical triple set
-    as the two-pass streaming mode (one corpus read vs two)."""
+def test_streaming_build_equivalent_to_barrier_build(ray_session):
+    """The streaming build (one read into the combined table) must emit
+    the identical triple set as the barrier build over the pinned
+    notes table."""
     import ray.data as rd
 
     from obsidian_parser_ray import build_graph
@@ -234,16 +238,15 @@ def test_single_pass_build_equivalent_to_two_pass(ray_session):
         )
     docs = rd.from_arrow(spans_table(rows)).repartition(4)
 
-    def triples(single_pass):
+    def triples(materialize_notes):
         g = build_graph(
-            docs, materialize_notes=False, single_pass=single_pass,
-            linker_concurrency=2,
+            docs, materialize_notes=materialize_notes, linker_concurrency=2,
         )
         return sorted(
             tuple(sorted(r.items())) for r in g.triples.take_all()
         )
 
-    assert triples(True) == triples(False)
+    assert triples(False) == triples(True)
 
 
 class TestAutoPathProbe:

@@ -237,8 +237,9 @@ class TestMarkdownRoundTrip:
 
 
 class TestShuffleJoinLinking:
-    """J1 fallback: shuffle-join linking must produce the identical
-    canonical triple set as the broadcast path."""
+    """J1 shuffle topology: linking the combined single-pass table by
+    hash partition must produce the identical canonical triple set as
+    the broadcast path."""
 
     def test_matches_broadcast(self):
         from collections import Counter
@@ -249,12 +250,13 @@ class TestShuffleJoinLinking:
         from obsidian_parser_ray.stages.canonicalize import canonicalize
         from obsidian_parser_ray.stages.extract import (
             explode_mentions,
+            extract_mentions_and_dict,
             extract_notes,
         )
         from obsidian_parser_ray.stages.linking import (
             build_dictionary,
+            link_combined_shuffle,
             link_mentions,
-            link_mentions_shuffle,
         )
 
         import pyarrow as pa
@@ -276,9 +278,9 @@ class TestShuffleJoinLinking:
 
         d = build_dictionary(notes)
         bcast = canonicalize(link_mentions(mentions, d, concurrency=2))
-        shuf = canonicalize(
-            link_mentions_shuffle(mentions, docs, num_partitions=4)
-        )
+        shuf = canonicalize(link_combined_shuffle(
+            extract_mentions_and_dict(docs).materialize(), num_partitions=4
+        ))
 
         def as_counter(ds):
             return Counter(
@@ -287,38 +289,16 @@ class TestShuffleJoinLinking:
 
         assert as_counter(bcast) == as_counter(shuf)
 
-        # fused single-pass build (docs → edges, one parse, no
-        # broadcast): identical canonical triples again
-        from obsidian_parser_ray.stages.linking import link_edges_fused
-
-        fused = canonicalize(link_edges_fused(docs, num_partitions=4))
-        assert as_counter(bcast) == as_counter(fused)
-
-    def test_build_graph_link_modes_equal(self):
+    def test_build_graph_auto_selects_topology_by_size(self, monkeypatch):
+        """VERDICT r2 #1: the build must pick broadcast vs the combined
+        shuffle by MEASURED dictionary size — each guard constant alone
+        flips it — and both topologies must produce identical
+        canonical triples."""
         from collections import Counter
 
         from obsidian_parser_ray import build_graph, synth_vault
-
-        sf = "/root/testdata/sf0.001"
-        t_b = build_graph(synth_vault(sf)).triples
-        t_s = build_graph(synth_vault(sf), link_mode="shuffle",
-                          num_link_partitions=4).triples
-
-        def as_counter(ds):
-            return Counter(
-                {(r["subj"], r["pred"], r["obj"]): r["weight"]
-                 for r in ds.take_all()}
-            )
-
-        assert as_counter(t_b) == as_counter(t_s)
-
-    def test_build_graph_auto_selects_topology_by_size(self):
-        """VERDICT r2 #1: the auto default must pick broadcast vs the
-        combined shuffle by MEASURED dictionary size and both
-        topologies must produce identical canonical triples."""
-        from collections import Counter
-
-        from obsidian_parser_ray import build_graph, synth_vault
+        from obsidian_parser_ray.pipelines import graph
+        from obsidian_parser_ray.stages import joins
 
         sf = "/root/testdata/sf0.001"
 
@@ -328,40 +308,51 @@ class TestShuffleJoinLinking:
                  for r in ds.take_all()}
             )
 
-        # small dictionary → auto stays on broadcast
+        # small dictionary → broadcast
         g_b = build_graph(synth_vault(sf), materialize_notes=False)
         assert g_b.link_topology == "broadcast"
 
-        # entry guard forced to 1 → auto flips to the combined shuffle
-        g_s = build_graph(
-            synth_vault(sf),
-            materialize_notes=False,
-            max_broadcast_entries=1,
-            num_link_partitions=4,
-        )
-        assert g_s.link_topology == "shuffle-combined"
-        assert as_counter(g_b.triples) == as_counter(g_s.triples)
+        # entry guard forced to 1 → the combined shuffle
+        with monkeypatch.context() as m:
+            m.setattr(graph, "LINK_MAX_ENTRIES", 1)
+            g_s = build_graph(synth_vault(sf), materialize_notes=False)
+            assert g_s.link_topology == "shuffle-combined"
+            assert g_s.dictionary is None
+            assert as_counter(g_b.triples) == as_counter(g_s.triples)
 
         # byte guard alone must flip it too
-        g_bytes = build_graph(
-            synth_vault(sf),
-            materialize_notes=False,
-            max_broadcast_bytes=1,
-            num_link_partitions=4,
-        )
-        assert g_bytes.link_topology == "shuffle-combined"
+        with monkeypatch.context() as m:
+            m.setattr(joins, "BROADCAST_MAX_BYTES", 1)
+            g_bytes = build_graph(synth_vault(sf), materialize_notes=False)
+            assert g_bytes.link_topology == "shuffle-combined"
 
-    def test_build_graph_shuffle_rejects_user_filter(self):
-        import pytest
+    def test_build_graph_shuffle_without_tags(self, monkeypatch):
+        """The combined shuffle drops tag mentions like the broadcast
+        build does when ``include_tags=False``."""
+        from collections import Counter
 
         from obsidian_parser_ray import build_graph, synth_vault
+        from obsidian_parser_ray.pipelines import graph
 
-        with pytest.raises(ValueError, match="shuffle"):
-            build_graph(
-                synth_vault("/root/testdata/sf0.001"),
-                link_mode="shuffle",
-                user_filter=lambda t: t,
+        sf = "/root/testdata/sf0.001"
+
+        def as_counter(ds):
+            return Counter(
+                {(r["subj"], r["pred"], r["obj"]): r["weight"]
+                 for r in ds.take_all()}
             )
+
+        g_b = build_graph(synth_vault(sf), materialize_notes=False,
+                          include_tags=False)
+        assert g_b.link_topology == "broadcast"
+        monkeypatch.setattr(graph, "LINK_MAX_ENTRIES", 1)
+        g_s = build_graph(synth_vault(sf), materialize_notes=False,
+                          include_tags=False)
+        assert g_s.link_topology == "shuffle-combined"
+        got = as_counter(g_s.triples)
+        assert got == as_counter(g_b.triples)
+        preds = {p for _, p, _ in got}
+        assert "tagged" not in preds and "links_to" in preds
 
 
 class TestResolutionStats:
@@ -632,15 +623,14 @@ class TestShuffleJoinEmptyPartitions:
         import ray.data as rd
 
         from obsidian_parser_ray.corpus import spans_from_raw, spans_table
-        from obsidian_parser_ray.stages.extract import explode_mentions, extract_notes
-        from obsidian_parser_ray.stages.linking import link_mentions_shuffle
+        from obsidian_parser_ray.stages.extract import extract_mentions_and_dict
+        from obsidian_parser_ray.stages.linking import link_combined_shuffle
 
         docs = rd.from_arrow(
             spans_table([("a", spans_from_raw("[[b]]")), ("b", spans_from_raw("x"))])
         ).materialize()
-        notes = extract_notes(docs).materialize()
-        edges = link_mentions_shuffle(
-            explode_mentions(notes), docs, num_partitions=32
+        edges = link_combined_shuffle(
+            extract_mentions_and_dict(docs).materialize(), num_partitions=32
         ).take_all()
         assert [(e["subj"], e["obj"]) for e in edges] == [("a", "b")]
 

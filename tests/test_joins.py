@@ -713,3 +713,47 @@ class TestGroupedAggregate:
         assert out["k"].tolist() == [1, 2]
         assert out["kmax"].tolist() == [1, 2]
         assert out["s"].tolist() == [14, 21]
+
+
+def test_broadcast_join_fallback_salts_hub_key(ray_session, monkeypatch):
+    """Past the guard, broadcast_join_unique's shuffle fallback measures
+    the left key skew: a 90%-hub left side runs salted, with rows
+    identical to the broadcast result in every mode."""
+    import numpy as np
+
+    from obsidian_parser_ray.stages import joins
+
+    rng = np.random.default_rng(11)
+    lkeys = ["hub"] * 900 + [f"k{i}" for i in rng.integers(0, 40, 100)]
+    left = rd.from_arrow(
+        pa.table({"k": pa.array(lkeys),
+                  "v": pa.array(range(len(lkeys)), type=pa.int64())})
+    ).repartition(5)
+    right = rd.from_arrow(
+        pa.table({"kk": pa.array(["hub"] + [f"k{i}" for i in range(30)]),
+                  "w": pa.array(range(31), type=pa.int64())})
+    )
+    modes = ("inner", "left", "semi", "anti")
+
+    def rows(how):
+        df = joins.broadcast_join_unique(
+            left, right, left_key="k", right_key="kk", how=how,
+            num_partitions=8,
+        ).to_pandas()
+        return df.sort_values(sorted(df.columns)).reset_index(drop=True)
+
+    expected = {how: rows(how) for how in modes}
+    assert (expected["inner"]["k"] == "hub").sum() == 900
+
+    salts = []
+    real = joins._resolve_salt
+
+    def spy(*a, **kw):
+        salts.append(real(*a, **kw))
+        return salts[-1]
+
+    monkeypatch.setattr(joins, "_resolve_salt", spy)
+    monkeypatch.setattr(joins, "BROADCAST_MAX_ROWS", -1)
+    for how in modes:
+        pd.testing.assert_frame_equal(rows(how), expected[how], obj=how)
+    assert len(salts) == len(modes) and min(salts) > 1, salts

@@ -88,18 +88,20 @@ def test_pr_one_point_zero(ray_session):
 
 
 def test_pr_shuffle_join_path(ray_session):
-    """The J1 shuffle-join fallback scores identically."""
+    """The J1 shuffle topology scores identically."""
     from obsidian_parser_ray.stages.canonicalize import canonicalize
-    from obsidian_parser_ray.stages.extract import explode_mentions, extract_notes
-    from obsidian_parser_ray.stages.linking import link_mentions_shuffle
+    from obsidian_parser_ray.stages.extract import extract_mentions_and_dict
+    from obsidian_parser_ray.stages.linking import (
+        child_of_edges,
+        link_combined_shuffle,
+    )
 
     rows = _span_rows()
     docs = rd.from_arrow(spans_table(rows)).materialize()
-    notes = extract_notes(docs).materialize()
-    edges = link_mentions_shuffle(explode_mentions(notes), docs, num_partitions=3)
-    from obsidian_parser_ray.stages.linking import child_of_edges
-
-    tri = canonicalize(edges.union(child_of_edges(notes)))
+    edges = link_combined_shuffle(
+        extract_mentions_and_dict(docs).materialize(), num_partitions=3
+    )
+    tri = canonicalize(edges.union(child_of_edges(docs)))
     actual = Counter(
         {(r["subj"], r["pred"], r["obj"]): r["weight"] for r in tri.take_all()}
     )
