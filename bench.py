@@ -6,7 +6,7 @@ Default mode: run the flagship pipelines over ``$GRAFT_SF_DIR``
 
     {"metric": "total_pipeline_sec", "value": <sum sec>, "unit": "sec",
      "queries": {"kg_build": sec, ...}, "sf": "...", "num_cpus": N,
-     "kg_docs_per_sec": ...}
+     "kg_docs_per_sec": ..., "kg_triples": <triples of the kg build>}
 
 ``--scaling``: run the identical KG-construction job twice in FRESH
 subprocesses at two parallelism levels (the sandbox stand-in for the
@@ -98,7 +98,8 @@ def _kg_build(sf_dir: str, num_cpus: int) -> int:
     return _consume(sorted_triples(g.triples))
 
 
-def bench_queries(sf_dir: str, num_cpus: int) -> dict[str, float]:
+def bench_queries(sf_dir: str, num_cpus: int) -> tuple[dict[str, float], int]:
+    """→ (wall seconds per query, triple count of the kg build)."""
     import ray.data as rd
 
     def read(table, columns):
@@ -172,6 +173,7 @@ def bench_queries(sf_dir: str, num_cpus: int) -> dict[str, float]:
     ).count()
 
     out: dict[str, float] = {}
+    rows: dict[str, int] = {}
     for name, fn in [
         ("kg_build", q_kg_build),
         ("doc_profile", q_doc_profile),
@@ -181,9 +183,9 @@ def bench_queries(sf_dir: str, num_cpus: int) -> dict[str, float]:
         ("sales_region", q_sales_region),
     ]:
         t0 = time.perf_counter()
-        fn()
+        rows[name] = fn()
         out[name] = round(time.perf_counter() - t0, 3)
-    return out
+    return out, rows["kg_build"]
 
 
 # --- scaling mode ------------------------------------------------------------
@@ -225,7 +227,7 @@ def _scaling_child(num_cpus: int) -> None:
     import ray.data as rd
 
     from obsidian_parser_ray import build_graph
-    from obsidian_parser_ray.stages.canonicalize import sorted_triples
+    from obsidian_parser_ray.pipelines.graph import write_adjacency
 
     rd.range(num_cpus * 1000, override_num_blocks=num_cpus).map_batches(
         lambda b: b, batch_format="pyarrow"
@@ -247,8 +249,9 @@ def _scaling_child(num_cpus: int) -> None:
     # operator start instead of autoscaling lag after the dict barrier;
     # materialize_notes=False → one parse into the combined table, then
     # fully streaming link→canonicalize (no notes barrier); the sink is
-    # the north_star's sorted materialize (distributed parquet write),
-    # not a driver-side stream.
+    # the fused bucketed adjacency write (one int-key shuffle whose
+    # reduce task sorts locally and writes directly; BASELINE.md "Fused
+    # adjacency sink"), not a driver-side stream.
     g = build_graph(
         docs,
         linker_concurrency=max(2, num_cpus // 2),
@@ -256,24 +259,12 @@ def _scaling_child(num_cpus: int) -> None:
         materialize_notes=False,
     )
     t_dict = time.perf_counter() - t0
-    # GRAFT_SINK_MODE=adjacency swaps the flat global-sort sink for the
-    # fused bucketed adjacency sink (one int-key shuffle whose reduce
-    # task sorts locally and writes directly) — 3.5x faster on the sink
-    # stage at 38.4M triples; see BASELINE.md "Fused adjacency sink".
-    sink_mode = os.environ.get("GRAFT_SINK_MODE", "adjacency")
-    if sink_mode == "adjacency":
-        from obsidian_parser_ray.pipelines.graph import write_adjacency
-
-        man = write_adjacency(
-            g, out_dir, num_buckets=num_cpus * 2,
-            compression=os.environ.get("GRAFT_SINK_COMPRESSION", "zstd"),
-        )
-        sec = time.perf_counter() - t0
-        n = sum(p["rows"] for p in man["partitions"])
-    else:
-        sorted_triples(g.triples).write_parquet(out_dir)
-        sec = time.perf_counter() - t0
-        n = rd.read_parquet(out_dir).count()
+    man = write_adjacency(
+        g, out_dir, num_buckets=num_cpus * 2,
+        compression=os.environ.get("GRAFT_SINK_COMPRESSION", "zstd"),
+    )
+    sec = time.perf_counter() - t0
+    n = sum(p["rows"] for p in man["partitions"])
     print(
         f"phase timing: dict={t_dict:.2f}s stream+write={sec - t_dict:.2f}s",
         file=sys.stderr,
@@ -500,7 +491,7 @@ def main() -> None:
         return
 
     _init_ray(NUM_CPUS)
-    queries = bench_queries(SF_DIR, NUM_CPUS)
+    queries, kg_triples = bench_queries(SF_DIR, NUM_CPUS)
     kg_sec = queries["kg_build"]
     import pyarrow.parquet as pq
 
@@ -513,6 +504,7 @@ def main() -> None:
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,
         "kg_docs_per_sec": round(n_docs / kg_sec, 1) if kg_sec else None,
+        "kg_triples": kg_triples,
     }
     # Second scale point (BASELINE.md r5): most non-kg sf0.1 walls are
     # session-fixed-cost, so round-over-round deltas are noise — a 10x
@@ -522,13 +514,14 @@ def main() -> None:
     if os.environ.get("GRAFT_SF1", "1") != "0":
         try:
             sf1_dir = _replicated_input(SF_DIR, 10)
-            q1 = bench_queries(sf1_dir, NUM_CPUS)
+            q1, kg_triples1 = bench_queries(sf1_dir, NUM_CPUS)
             n1 = pq.ParquetFile(
                 f"{sf1_dir}/documents.parquet").metadata.num_rows
             out["sf1"] = {
                 "total_sec": round(sum(q1.values()), 3),
                 "queries": q1,
                 "kg_docs_per_sec": round(n1 / q1["kg_build"], 1),
+                "kg_triples": kg_triples1,
             }
         except Exception as ex:  # noqa: BLE001 - bench must still report
             out["sf1"] = {"error": str(ex)[:300]}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .stages.extract import extract_note_row
+from .stages.extract import parse_doc
 from .stages.linking import PRED_FOR_KIND, _LITERAL_KINDS
 
 
@@ -37,7 +37,7 @@ def oracle_graph(doc_rows: list[tuple[str, list[dict]]], *, directed: bool = Tru
     alias: dict[str, str] = {}
     parsed = []
     for doc_id, spans in ordered:
-        note, mentions = extract_note_row(doc_id, spans)
+        note, mentions = parse_doc(doc_id, spans)
         parsed.append((note, mentions))
         full.add(doc_id)
         short.setdefault(note["note_name"], doc_id)

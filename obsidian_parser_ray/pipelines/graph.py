@@ -336,7 +336,7 @@ def write_graph(result: GraphResult, out_dir: str,
 
 
 def write_adjacency(result: GraphResult, out_dir: str, *,
-                    num_buckets: int = 64, mode: str = "fused",
+                    num_buckets: int = 64,
                     splits_per_bucket: int | str = "auto",
                     target_split_bytes: int = 256 << 20,
                     compression: str = "snappy") -> dict:
@@ -347,21 +347,15 @@ def write_adjacency(result: GraphResult, out_dir: str, *,
     per-subject adjacency reads prune to a single bucket directory —
     at 10^12 triples a lookup touches 1/num_buckets of the table.
 
-    ``mode``:
-
-    * ``"fused"`` (default) — single-shuffle sort-write fusion: tag each
-      row with its int32 shard, shuffle ONCE on that single int key
-      (``groupby``), and in the reduce task sort the shard locally with
-      one Arrow ``sort_by`` and write its parquet file directly.  The
-      global ``Dataset.sort`` merge (which compares full
-      (subj, pred, obj) string tuples across the whole dataset) and the
-      separate write stage collapse into the reduce side of one
-      exchange.  At cluster scale ``out_dir`` must be shared storage
-      (same caveat as ``write_markdown_files``).
-    * ``"sort"`` — global ``Dataset.sort`` on (bucket, subj, pred, obj)
-      then hive-partitioned write; totally-ordered buckets, kept as the
-      oracle for the equivalence test and for sinks where the writer
-      must not touch the filesystem from worker tasks.
+    Single-shuffle sort-write fusion: tag each row with its int32
+    shard, shuffle ONCE on that single int key (``groupby``), and in
+    the reduce task sort the shard locally with one Arrow ``sort_by``
+    and write its parquet file directly — no global ``Dataset.sort``
+    merge over (subj, pred, obj) string tuples and no separate write
+    stage (3.5x faster than that two-exchange sink at 38.4M triples,
+    BASELINE.md "Fused adjacency sink").  Reduce tasks write
+    ``out_dir`` themselves, so at cluster scale it must be shared
+    storage (same caveat as ``write_markdown_files``).
 
     ``splits_per_bucket`` bounds the fused reduce task (VERDICT r2 #3:
     at 10^12 triples / 64 buckets one bucket is ~15 B rows — far past
@@ -377,8 +371,7 @@ def write_adjacency(result: GraphResult, out_dir: str, *,
     estimate (an UPPER bound on triple bytes — over-splitting is the
     cheap direction) so no bucket shard is expected past
     ``target_split_bytes``; unknown-size inputs get 16 splits rather
-    than an unbounded task.  ``mode="sort"`` ignores splits — the
-    distributed range-partitioned sort bounds its own tasks.
+    than an unbounded task.
     """
     import json
     import os
@@ -419,64 +412,45 @@ def write_adjacency(result: GraphResult, out_dir: str, *,
         "splits_per_bucket": splits,
         "hash": "pd.util.hash_array",
     }
-    if mode == "fused":
-        tri = result.triples.map_batches(add_shard, batch_format="pyarrow")
-        data_dir = os.path.join(tmp, "data")
-        os.makedirs(data_dir, exist_ok=True)
-        sort_keys = [(k, "ascending") for k in ("subj", "pred", "obj")]
+    tri = result.triples.map_batches(add_shard, batch_format="pyarrow")
+    data_dir = os.path.join(tmp, "data")
+    os.makedirs(data_dir, exist_ok=True)
+    sort_keys = [(k, "ascending") for k in ("subj", "pred", "obj")]
 
-        def sort_and_write(g: pa.Table) -> pa.Table:
-            import pyarrow.parquet as pq
+    def sort_and_write(g: pa.Table) -> pa.Table:
+        import pyarrow.parquet as pq
 
-            shard = g["shard"][0].as_py()
-            b, s = divmod(shard, splits)
-            body = g.drop_columns(["shard"]).sort_by(sort_keys)
-            bdir = os.path.join(data_dir, f"subj_bucket={b}")
-            os.makedirs(bdir, exist_ok=True)
-            fp = os.path.join(bdir, f"part-{s:05d}.parquet")
-            # compression is a bus-vs-CPU knob: zstd cuts the sink's
-            # write bandwidth ~3-5x at modest compute cost (the right
-            # trade when the sink shares a saturated memory bus or a
-            # network link; snappy default unchanged)
-            pq.write_table(body, fp, compression=compression)
-            return pa.table(
-                {
-                    "bucket": pa.array([b], pa.int32()),
-                    "split": pa.array([s], pa.int32()),
-                    "rows": pa.array([body.num_rows], pa.int64()),
-                    "bytes": pa.array([os.path.getsize(fp)], pa.int64()),
-                }
-            )
-
-        # ≤ num_buckets × splits tiny manifest rows come back to the driver
-        parts = (
-            tri.groupby("shard")
-            .map_groups(sort_and_write, batch_format="pyarrow")
-            .take_all()
+        shard = g["shard"][0].as_py()
+        b, s = divmod(shard, splits)
+        body = g.drop_columns(["shard"]).sort_by(sort_keys)
+        bdir = os.path.join(data_dir, f"subj_bucket={b}")
+        os.makedirs(bdir, exist_ok=True)
+        fp = os.path.join(bdir, f"part-{s:05d}.parquet")
+        # compression is a bus-vs-CPU knob: zstd cuts the sink's
+        # write bandwidth ~3-5x at modest compute cost (the right
+        # trade when the sink shares a saturated memory bus or a
+        # network link; snappy default unchanged)
+        pq.write_table(body, fp, compression=compression)
+        return pa.table(
+            {
+                "bucket": pa.array([b], pa.int32()),
+                "split": pa.array([s], pa.int32()),
+                "rows": pa.array([body.num_rows], pa.int64()),
+                "bytes": pa.array([os.path.getsize(fp)], pa.int64()),
+            }
         )
-        manifest["partitions"] = sorted(
-            ({k: int(r[k]) for k in ("bucket", "split", "rows", "bytes")}
-             for r in parts),
-            key=lambda r: (r["bucket"], r["split"]),
-        )
-    elif mode == "sort":
 
-        def add_bucket(t: pa.Table) -> pa.Table:
-            subj = t["subj"]
-            if isinstance(subj, pa.ChunkedArray):
-                subj = subj.combine_chunks()
-            from ..hashing import hash_bucket_array
-
-            return t.append_column(
-                "subj_bucket", hash_bucket_array(subj, num_buckets)
-            )
-
-        tri = result.triples.map_batches(add_bucket, batch_format="pyarrow")
-        tri = tri.sort(["subj_bucket", "subj", "pred", "obj"])
-        tri.write_parquet(os.path.join(tmp, "data"), partition_cols=["subj_bucket"])
-        manifest["splits_per_bucket"] = 1  # sort mode: whole-bucket files
-    else:
-        raise ValueError(f"unknown write_adjacency mode: {mode!r}")
+    # ≤ num_buckets × splits tiny manifest rows come back to the driver
+    parts = (
+        tri.groupby("shard")
+        .map_groups(sort_and_write, batch_format="pyarrow")
+        .take_all()
+    )
+    manifest["partitions"] = sorted(
+        ({k: int(r[k]) for k in ("bucket", "split", "rows", "bytes")}
+         for r in parts),
+        key=lambda r: (r["bucket"], r["split"]),
+    )
     with open(os.path.join(tmp, "_ADJ_MANIFEST.json"), "w") as f:
         json.dump(manifest, f)
     shutil.rmtree(out_dir, ignore_errors=True)
@@ -487,10 +461,9 @@ def write_adjacency(result: GraphResult, out_dir: str, *,
 def read_adjacency(out_dir: str, subj: str):
     """Partition-pruned adjacency lookup: triples of ONE subject.
 
-    Prunes to the subject's hash bucket directory, and — when the
-    layout was written with ``splits_per_bucket > 1`` — to the single
-    shard FILE the subject hashes into (1/(num_buckets × splits) of
-    the table touched per lookup)."""
+    Prunes to the single shard FILE the subject hashes into — its
+    bucket directory and, within it, its split (1/(num_buckets ×
+    splits) of the table touched per lookup)."""
     import json
     import os
 
@@ -503,16 +476,13 @@ def read_adjacency(out_dir: str, subj: str):
         man = json.load(f)
     h = hash64_scalar(subj)
     bucket = h % man["num_buckets"]
-    splits = int(man.get("splits_per_bucket", 1))
-    path = os.path.join(out_dir, "data", f"subj_bucket={bucket}")
-    if splits > 1:
-        split = (h // man["num_buckets"]) % splits
-        fp = os.path.join(path, f"part-{split:05d}.parquet")
-        # a shard with no rows was still written (empty groups don't
-        # reach map_groups, so a MISSING file means no rows landed
-        # there) — treat missing as empty
-        path = fp if os.path.isfile(fp) else ""
-    if not (os.path.isdir(path) or os.path.isfile(path)):
+    split = (h // man["num_buckets"]) % man["splits_per_bucket"]
+    path = os.path.join(
+        out_dir, "data", f"subj_bucket={bucket}", f"part-{split:05d}.parquet"
+    )
+    # no file is written for a shard with no rows (empty groups don't
+    # reach map_groups) — treat missing as empty
+    if not os.path.isfile(path):
         return rd.from_arrow(
             pa.table(
                 {
@@ -527,8 +497,8 @@ def read_adjacency(out_dir: str, subj: str):
     # arbitrary vault paths (quotes/backslashes must not reach a parser)
     import pyarrow.compute as pc
 
-    # the column select also drops the ``subj_bucket`` column Ray
-    # infers from the hive dir of a one-split layout
+    # the column select also drops any ``subj_bucket`` column Ray
+    # infers from the hive dir in the path
     def keep(t: pa.Table) -> pa.Table:
         return t.filter(
             pc.equal(t["subj"], pa.scalar(subj, pa.string()))

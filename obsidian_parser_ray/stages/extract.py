@@ -26,9 +26,11 @@ checkable downstream.
 
 Scale notes: the per-row Python loop is irreducible (YAML + tokenizer
 are per-string), but everything around it is Arrow —  one
-``to_pylist()`` per column per batch in, one ``pa.table`` out.  At
-~1.6 kB/doc this stage sustains >100k docs/s/core and parallelizes as
-block-parallel tasks with no state.
+``to_pylist()`` per column per batch in, one ``pa.table`` out.
+Measured in one process on a 4-core Xeon host: about 6-10k docs/s
+both on ``synth_vault`` notes (~100 B of text) and on ``bench_corpus``
+notes (~27 kB of text).  It parallelizes as block-parallel tasks with
+no state.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def parse_doc(doc_id: str, spans: list[dict], *, strict_lists: bool = False,
     extraction, note_name and aliases only — skipping the content
     md5, word/byte counts and properties JSON.  The returned note dict
     then carries only (doc_id, note_name, aliases, parse_error); it is
-    the row-for-row reference of the vectorized scanner (:mod:`.scan`,
+    the row-for-row reference of the mention scanner (:mod:`.scan`,
     tests/test_scan.py).
     """
     from ..parser import ListTypeError
@@ -199,238 +201,22 @@ def parse_doc(doc_id: str, spans: list[dict], *, strict_lists: bool = False,
     return note, mentions
 
 
-def extract_note_row(doc_id: str, spans: list[dict],
-                     *, strict_lists: bool = False) -> tuple[dict, list[dict]]:
-    """Full-attribute parse (back-compat name for :func:`parse_doc`)."""
-    return parse_doc(doc_id, spans, strict_lists=strict_lists)
-
-
-_VEC_CHUNK_BYTES = 1 << 20   # target span-text bytes per flat-kernel chunk
-                             # (measured knee: ≤1 MB buffers run 3-4x
-                             # faster per element than 4-8 MB on this host)
-_VEC_CHUNK_MIN_ROWS = 64     # below this, chunking overhead dominates
-
-# auto path selection: decided once per worker process by
-# _probe_vectorized(), cached here
-_AUTO_VECTOR: bool | None = None
-
-
-def _probe_vectorized() -> bool:
-    """Pick rowwise vs vectorized ONCE per worker process by timing
-    both row-identical implementations on a small deterministic batch
-    (the bench-corpus document shape).
-
-    The right path is host-dependent: the flat-column scanner wins on
-    hardware with healthy streaming-kernel throughput, while on hosts
-    whose DRAM-resident element-wise kernels run 10-30x slower per
-    byte than L1-resident ones (scan.py header; this sandbox) the
-    per-doc loop — whose kernels are L1-resident — measures ~2x
-    faster.  Hardcoding either choice is wrong on the other class of
-    host, so the default measures once and caches (same auto-guard
-    pattern as the link-topology probe, pipelines/graph.py).
-    ``GRAFT_VECTOR_EXTRACT=1``/``0`` forces the path and skips the
-    probe entirely.  Cost: ~2 warm + 2 timed calls per path over
-    32 docs ≈ tens of ms, once per process.
-    """
-    global _AUTO_VECTOR
-    if _AUTO_VECTOR is None:
-        import time
-
-        from ..corpus import gen_bench_batch
-
-        ids = pa.table({"id": pa.array(range(32), pa.int64())})
-        batch = gen_bench_batch(ids, n_docs=32, links_per_doc=4, seed=7)
-
-        def best(fn) -> float:
-            fn(batch)  # warm: imports, regex compile, Arrow kernels
-            times = []
-            for _ in range(2):
-                t0 = time.perf_counter()
-                fn(batch)
-                times.append(time.perf_counter() - t0)
-            return min(times)
-
-        row = ExtractNotes(vectorized=False)
-        vec = ExtractNotes(vectorized=True)
-        _AUTO_VECTOR = best(vec) < best(row)
-    return _AUTO_VECTOR
-
-
 class ExtractNotes:
-    """Batched extractor.  Stateless — usable as a plain function too,
-    but kept callable-class-shaped so callers can opt into an actor
-    pool when they add per-actor state (e.g. a compiled BPE).
+    """Batched extractor: the :func:`parse_doc` loop over one Arrow
+    batch.  Stateless — usable as a plain function too, but kept
+    callable-class-shaped so callers can opt into an actor pool when
+    they add per-actor state (e.g. a compiled BPE)."""
 
-    Two row-identical implementations, selected by ``vectorized``
-    (default: auto — a once-per-worker-process microprobe times both
-    on a deterministic batch and picks the winner for THIS host; env
-    ``GRAFT_VECTOR_EXTRACT=1``/``0`` forces):
-
-    * ``_call_rowwise`` — the ``parse_doc`` loop.  Its per-doc kernels
-      are already numpy/C (L1-resident word count, one encode feeding
-      md5+bytes, libyaml), and on this sandbox host — where streaming
-      element-wise kernels measure only ~0.3-1 Gops/s against DRAM/L3
-      vs 3-4 Gops/s L1-resident (scan.py header; probed 2026-08-19) —
-      it is ~2x FASTER than the flat path on the bench-corpus shape
-      (5.7k vs 3.1k docs/s at 26 kB/doc), so the probe picks it here.
-    * ``_call_vectorized`` — the flat-column twin: scanner mentions +
-      batched content join / word count / md5, per-doc Python only
-      for YAML and ``json.dumps``.  On hardware with healthy
-      streaming throughput (where those same kernels run 10-30x
-      faster per byte) this is the scaling path; parity is asserted
-      by the differential tests either way.
-
-    The auto decision is made lazily at the first ``__call__`` so it
-    runs on the WORKER process (instances are constructed on the
-    driver and pickled into tasks), and is cached per process.
-    """
-
-    def __init__(self, keep_spans: bool = False, strict_lists: bool = False,
-                 vectorized: bool | None = None):
+    def __init__(self, keep_spans: bool = False, strict_lists: bool = False):
         self.keep_spans = keep_spans
         self.strict_lists = strict_lists
-        if vectorized is None:
-            import os
-
-            env = os.environ.get("GRAFT_VECTOR_EXTRACT", "")
-            if env == "1":
-                vectorized = True
-            elif env == "0":
-                vectorized = False
-            # else: stay None → probe on first __call__
-        self.vectorized = vectorized
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        v = self.vectorized
-        if v is None:
-            v = self.vectorized = _probe_vectorized()
-        if v:
-            return self._call_vectorized(batch)
-        return self._call_rowwise(batch)
-
-    def _call_vectorized(self, batch: pa.Table) -> pa.Table:
-        """Vectorized full-attribute extract: mentions/tags/aliases via
-        the flat-column scanner (``stages/scan.py``), content join +
-        word/byte counts + md5 via its batched attribute kernel — the
-        only per-doc Python left is YAML (inherent) and
-        ``json.dumps`` of the parsed properties.  Row-for-row equal to
-        :meth:`_call_rowwise` (the original ``parse_doc`` loop, the
-        differential-test oracle)."""
-        import numpy as np
-        import pyarrow.compute as pc
-
-        from .scan import (
-            content_stats_per_doc,
-            note_names_array,
-            scan_mentions_batch,
-        )
-
-        # Cache-sized sub-batches: the flat kernels stream the chunk's
-        # whole text buffer several times, and on this class of host a
-        # DRAM-resident sweep is ~10x slower per byte than an
-        # L2-resident one (scan.py header note).  ~4 MB of span text
-        # per chunk keeps every pass cache-resident while amortizing
-        # the per-call Arrow/numpy overhead over hundreds of docs.
-        if batch.num_rows > _VEC_CHUNK_MIN_ROWS:
-            spans_bytes = batch["spans"].nbytes
-            rows_per_chunk = max(
-                _VEC_CHUNK_MIN_ROWS,
-                int(batch.num_rows * _VEC_CHUNK_BYTES / max(spans_bytes, 1)),
-            )
-            if rows_per_chunk < batch.num_rows:
-                parts = [
-                    self._call_vectorized(batch.slice(i, rows_per_chunk))
-                    for i in range(0, batch.num_rows, rows_per_chunk)
-                ]
-                return pa.concat_tables(parts)
-
-        n = batch.num_rows
-        m, aliases, props_list, err_list = scan_mentions_batch(
-            batch, strict_lists=self.strict_lists, with_props=True
-        )
-        content, n_words, n_bytes, md5_hex = content_stats_per_doc(batch)
-
-        ids = batch["doc_id"]
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
-        ids = ids.cast(pa.string())
-
-        # mentions: flat struct rows (already doc-ordered) → list column
-        struct = pa.StructArray.from_arrays(
-            [
-                pa.array(m["kind"], pa.string()),
-                pa.array(m["target_key"], pa.string()),
-                pa.array(m["raw_text"], pa.string()),
-                pa.array(m["span_offset"].astype("int32"), pa.int32()),
-                pa.array(m["occurrence_idx"].astype("int32"), pa.int32()),
-            ],
-            fields=list(MENTION_TYPE),
-        )
-        m_counts = np.bincount(m["doc_row"], minlength=n)
-        m_offsets = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(m_counts, out=m_offsets[1:])
-        mentions_col = pa.ListArray.from_arrays(
-            pa.array(m_offsets, pa.int32()), struct
-        )
-
-        # tags: fm + inline mention rows in occurrence order
-        kind_arr = pa.array(m["kind"], pa.string())
-        tmask = pc.is_in(
-            kind_arr,
-            value_set=pa.array(["tag_frontmatter", "tag_inline"]),
-        ).to_numpy(zero_copy_only=False)
-        tag_docs = m["doc_row"][tmask]
-        tag_vals = pa.array(m["target_key"], pa.string()).filter(
-            pa.array(tmask)
-        )
-        t_counts = np.bincount(tag_docs, minlength=n)
-        t_offsets = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(t_counts, out=t_offsets[1:])
-        tags_col = pa.ListArray.from_arrays(
-            pa.array(t_offsets, pa.int32()), tag_vals
-        )
-        todo_hits = tag_docs[
-            pc.equal(tag_vals, "todo").to_numpy(zero_copy_only=False)
-        ]
-        is_todo_np = np.bincount(todo_hits, minlength=n) > 0
-
-        props_json = [
-            json.dumps(p, ensure_ascii=False, sort_keys=True)
-            if p is not None
-            else None
-            for p in props_list
-        ]
-        out = pa.Table.from_arrays(
-            [
-                ids,
-                note_names_array(ids),
-                pa.array(props_json, pa.string()),
-                tags_col,
-                pa.array(aliases, pa.list_(pa.string())),
-                pa.array(is_todo_np, pa.bool_()),
-                pa.array(n_words, pa.int64()),
-                pa.array(n_bytes, pa.int64()),
-                pa.array(md5_hex, pa.string()),
-                pa.array(err_list, pa.string()),
-                ids,  # order_key = doc_id verbatim
-                mentions_col,
-            ],
-            schema=NOTES_SCHEMA,
-        )
-        if self.keep_spans:
-            out = out.append_column(
-                "spans", batch["spans"].cast(pa.list_(SPAN_TYPE))
-            )
-        return out
-
-    def _call_rowwise(self, batch: pa.Table) -> pa.Table:
-        """The original per-doc ``parse_doc`` loop — retained as the
-        differential-test oracle for the vectorized ``__call__``."""
         doc_ids = batch["doc_id"].to_pylist()
         spans_col = batch["spans"].to_pylist()
         cols: dict[str, list] = {name: [] for name in NOTES_SCHEMA.names}
         for doc_id, spans in zip(doc_ids, spans_col):
-            note, mentions = extract_note_row(
+            note, mentions = parse_doc(
                 doc_id, spans or [], strict_lists=self.strict_lists
             )
             for k, v in note.items():

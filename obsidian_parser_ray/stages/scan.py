@@ -1,5 +1,8 @@
 """Vectorized mention scanner — the flat-column twin of
-``parse_doc``'s link path (``stages/extract.py``).
+``parse_doc``'s mention path (``stages/extract.py``), used only by the
+streaming build's combined extract
+(``extract.extract_mentions_and_dict``).  Full note attributes come
+from the ``parse_doc`` loop alone (``extract.ExtractNotes``).
 
 ``parse_doc`` materializes every span as a Python dict and walks every
 text string with ``str.find`` — measured ~60% of link-path extract CPU
@@ -32,8 +35,8 @@ boundaries sit on ASCII anchors so byte slices are always valid UTF-8.
 Row-for-row parity with the ``parse_doc`` loop (same mention rows,
 same ``occurrence_idx`` assignment: frontmatter tags, then per
 offset-ordered text span links-then-tags, then offset-ordered media)
-is asserted by a differential test over adversarial span tables
-(``tests/test_scan.py``).
+is asserted against ``parse_doc(with_attrs=False)`` by a differential
+test over adversarial span tables (``tests/test_scan.py``).
 """
 
 from __future__ import annotations
@@ -80,8 +83,7 @@ def _rank_within(groups: np.ndarray) -> np.ndarray:
     return idx - first
 
 
-def scan_mentions_batch(batch: pa.Table, *, strict_lists: bool = False,
-                        with_props: bool = False):
+def scan_mentions_batch(batch: pa.Table, *, strict_lists: bool = False):
     """One batch of ``(doc_id, spans)`` rows → mention arrays +
     dictionary inputs, with no per-doc Python except YAML and
     tag-bearing tokens.
@@ -93,14 +95,6 @@ def scan_mentions_batch(batch: pa.Table, *, strict_lists: bool = False,
     ordered exactly like the ``parse_doc`` loop — and ``aliases_list``
     is the per-doc ``aliases`` python list (frontmatter parse product,
     ``[]`` on error, matching ``parse_doc``'s lenient/strict modes).
-
-    ``with_props=True`` returns ``(mention_cols, aliases_list,
-    props_list, err_list)`` — the per-doc parsed properties object
-    (``None`` when the doc has no frontmatter or its text is null,
-    exactly ``parse_doc``'s ``parse_properties`` product) and the
-    per-doc ``parse_error`` string (YAML error or strict-list
-    violation, ``None`` when clean).  Used by the vectorized
-    full-attribute extractor.
     """
     n_docs = batch.num_rows
     spans = batch["spans"]
@@ -147,8 +141,6 @@ def scan_mentions_batch(batch: pa.Table, *, strict_lists: bool = False,
         fm_offset[docs_o[first]] = offs[o[first]]
     have_fm = np.flatnonzero(fm_first >= 0)
     aliases_list: list = [[] for _ in range(n_docs)]
-    props_list: list = [None] * n_docs
-    err_list: list = [None] * n_docs
     if len(have_fm):
         # null-preserving text take: a frontmatter span with null text
         # parses like an absent block (parse_doc passes the raw value)
@@ -157,16 +149,13 @@ def scan_mentions_batch(batch: pa.Table, *, strict_lists: bool = False,
         ).to_pylist()
         fm_doc_rows, fm_tag_vals, fm_tag_within = [], [], []
         for d, ptxt in zip(have_fm, fm_texts):
-            props, err = parse_properties(ptxt)
+            props, _ = parse_properties(ptxt)
             try:
                 ftags = frontmatter_tags(props, strict=strict_lists)
                 fals = frontmatter_aliases(props, strict=strict_lists)
-            except ListTypeError as e:
-                err = err or f"yaml: {e}"
+            except ListTypeError:
                 ftags, fals = [], []
             aliases_list[d] = fals
-            props_list[d] = props
-            err_list[d] = err
             for j, tg in enumerate(ftags):
                 fm_doc_rows.append(d)
                 fm_tag_vals.append(tg)
@@ -356,8 +345,6 @@ def scan_mentions_batch(batch: pa.Table, *, strict_lists: bool = False,
             "span_offset": np.zeros(0, dtype=np.int64),
             "occurrence_idx": np.zeros(0, dtype=np.int64),
         }
-        if with_props:
-            return empty, aliases_list, props_list, err_list
         return empty, aliases_list
 
     doc = np.concatenate(m_doc)
@@ -387,94 +374,7 @@ def scan_mentions_batch(batch: pa.Table, *, strict_lists: bool = False,
         "span_offset": off_all[order],
         "occurrence_idx": occurrence,
     }
-    if with_props:
-        return cols, aliases_list, props_list, err_list
     return cols, aliases_list
-
-
-def content_stats_per_doc(batch: pa.Table):
-    """Per-doc content attributes, vectorized: joined text-span content
-    (offset order, ``"\\n"`` separator), Rust-parity word count, byte
-    count, and content md5 — the flat-column twin of ``parse_doc``'s
-    attribute path (``content = "\\n".join(...)``, ``word_count``,
-    ``len(encoded)``, ``hashlib.md5``).
-
-    Returns ``(content pa.StringArray, n_words int64 np, n_bytes int64
-    np, md5_hex list[str])``.  Word counting runs as one sparse numpy
-    sweep over the batch's concatenated UTF-8 buffer for pure-ASCII
-    docs (the ``word_count`` fast path, batched); non-ASCII docs fall
-    back to the same regex the scalar kernel uses.  md5 is per-doc
-    ``hashlib`` over zero-copy memoryview slices of that buffer.
-    """
-    from ..parser import _RUST_WORD_RE
-
-    n_docs = batch.num_rows
-    spans = batch["spans"]
-    if isinstance(spans, pa.ChunkedArray):
-        spans = spans.combine_chunks()
-    lens = pc.fill_null(
-        pc.list_value_length(spans), 0
-    ).to_numpy(zero_copy_only=False).astype(np.int64)
-    flat = spans.flatten()
-    span_doc = np.repeat(np.arange(n_docs, dtype=np.int64), lens)
-    k_text = pc.equal(
-        pc.fill_null(flat.field("kind"), ""), "text"
-    ).to_numpy(zero_copy_only=False)
-    t_idx = np.flatnonzero(k_text)
-    offs = pc.fill_null(flat.field("offset"), 0).to_numpy(
-        zero_copy_only=False
-    ).astype(np.int64)
-    t_order = t_idx[np.lexsort((t_idx, offs[t_idx], span_doc[t_idx]))]
-    t_doc = span_doc[t_order]
-    values = pc.take(pc.fill_null(flat.field("text"), ""), pa.array(t_order))
-    if isinstance(values, pa.ChunkedArray):
-        values = values.combine_chunks()
-    counts = np.bincount(t_doc, minlength=n_docs)
-    offsets = np.zeros(n_docs + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    lists = pa.LargeListArray.from_arrays(
-        pa.array(offsets, pa.int64()), values.cast(pa.large_string())
-    )
-    content = pc.binary_join(lists, pa.scalar("\n", pa.large_string()))
-    n_bytes = pc.binary_length(
-        content.cast(pa.large_binary())
-    ).to_numpy(zero_copy_only=False).astype(np.int64)
-    n_chars = pc.utf8_length(content).to_numpy(
-        zero_copy_only=False
-    ).astype(np.int64)
-
-    data, starts, ends = _string_bytes(content)
-    # --- word count: one sparse sweep for ASCII docs ------------------
-    n_words = np.zeros(n_docs, dtype=np.int64)
-    total = int(ends[-1]) if n_docs else 0
-    if total:
-        # content is freshly joined → compact buffer, offset 0 (Arrow
-        # pads allocations, so slice to the logical byte length)
-        arr = data[:total]
-        is_w = ~(((arr >= 9) & (arr <= 13)) | (arr == 32))
-        prev_ws = np.empty(len(arr), dtype=bool)
-        prev_ws[0] = True
-        np.logical_not(is_w[:-1], out=prev_ws[1:])
-        doc_starts = starts[starts < len(arr)]
-        prev_ws[doc_starts] = True  # word runs never cross docs
-        word_start_pos = np.flatnonzero(is_w & prev_ws)
-        if len(word_start_pos):
-            owner = np.searchsorted(ends, word_start_pos, side="right")
-            n_words += np.bincount(owner, minlength=n_docs)
-    non_ascii = np.flatnonzero(n_bytes != n_chars)
-    if len(non_ascii):
-        fallback = pc.take(content, pa.array(non_ascii)).to_pylist()
-        for d, txt in zip(non_ascii, fallback):
-            n_words[d] = len(_RUST_WORD_RE.findall(txt))
-    # --- md5 over zero-copy buffer slices -----------------------------
-    import hashlib
-
-    mv = memoryview(data)
-    md5_hex = [
-        hashlib.md5(mv[s:e]).hexdigest()
-        for s, e in zip(starts.tolist(), ends.tolist())
-    ]
-    return content, n_words, n_bytes, md5_hex
 
 
 def note_names_array(doc_ids: pa.Array) -> pa.Array:

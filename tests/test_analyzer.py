@@ -9,7 +9,7 @@ import ray.data as rd
 from obsidian_parser_ray.corpus import derive_vault_batch
 from obsidian_parser_ray.oracle import oracle_graph
 from obsidian_parser_ray.pipelines.analyzer import analyze
-from obsidian_parser_ray.stages.extract import extract_note_row
+from obsidian_parser_ray.stages.extract import parse_doc
 
 
 def _synth_rows(n):
@@ -28,7 +28,7 @@ def _oracle_report(doc_rows):
     # or empty notes)
     kept = []
     for doc_id, spans in doc_rows:
-        note, _ = extract_note_row(doc_id, spans)
+        note, _ = parse_doc(doc_id, spans)
         if note["parse_error"] is None and note["n_bytes"] > 0 and not note["is_todo"]:
             kept.append((doc_id, spans))
     notes, edges = oracle_graph(kept, include_child_of=False)

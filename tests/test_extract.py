@@ -15,13 +15,13 @@ from obsidian_parser_ray.corpus import (
 from obsidian_parser_ray.stages.extract import (
     ExtractNotes,
     explode_mentions_batch,
-    extract_note_row,
+    parse_doc,
 )
 
 
-def test_extract_note_row_full():
+def test_parse_doc_full():
     spans = spans_from_raw("---\ntags:\n- t1\naliases:\n- al\n---\nHello [[main]] #x ![[img]]")
-    note, mentions = extract_note_row("data/main", spans)
+    note, mentions = parse_doc("data/main", spans)
     assert note["note_name"] == "main"
     assert note["tags"] == ["t1", "x"]
     assert note["aliases"] == ["al"]
@@ -42,7 +42,7 @@ def test_media_span_mention():
         make_span("media", media_ref="assets/diagram.png", offset=1),
         make_span("text", "and [[main]]", offset=2),
     ]
-    note, mentions = extract_note_row("media_note", spans)
+    note, mentions = parse_doc("media_note", spans)
     assert [(m["kind"], m["target_key"]) for m in mentions] == [
         ("embed", "diagram"),
         ("link", "main"),
@@ -55,7 +55,7 @@ def test_multi_text_span_content_joined():
         make_span("text", "one two", offset=0),
         make_span("text", "three", offset=1),
     ]
-    note, _ = extract_note_row("x", spans)
+    note, _ = parse_doc("x", spans)
     assert note["n_words"] == 3
     assert note["n_bytes"] == len("one two\nthree")
 
@@ -65,13 +65,13 @@ def test_span_order_respected_not_physical_order():
         make_span("text", "second", offset=5),
         make_span("text", "first", offset=1),
     ]
-    note, _ = extract_note_row("x", spans)
+    note, _ = parse_doc("x", spans)
     assert note["n_bytes"] == len("first\nsecond")
 
 
 def test_yaml_error_flows_to_parse_error_column():
     spans = [make_span("frontmatter", ": : :"), make_span("text", "b", offset=1)]
-    note, _ = extract_note_row("x", spans)
+    note, _ = parse_doc("x", spans)
     assert note["parse_error"] is not None
     assert note["tags"] == []  # properties unusable → no frontmatter tags
 
@@ -115,7 +115,7 @@ def test_unclosed_frontmatter_raises_at_corpus_build():
 
 
 def test_empty_spans_row():
-    note, mentions = extract_note_row("empty", [])
+    note, mentions = parse_doc("empty", [])
     assert note["n_words"] == 0 and mentions == []
 
 
@@ -249,53 +249,43 @@ def test_streaming_build_equivalent_to_barrier_build(ray_session):
     assert triples(False) == triples(True)
 
 
-class TestAutoPathProbe:
-    """ExtractNotes default path selection: env forces, else the
-    once-per-process microprobe decides at first __call__."""
+def test_extract_notes_golden_edge_cases():
+    """Edge rows through the batched extractor, with literal expected
+    values: bad and null frontmatter, non-ASCII content in offset
+    order, control characters, an empty span list, strict lists."""
+    rows = [
+        ("a/note1", [
+            make_span("frontmatter", "tags: [todo, x]\naliases: [A, B]"),
+            make_span("text", "see [[T|lbl]] and #tag words", offset=10),
+            make_span("media", media_ref="i.png", offset=50),
+        ]),
+        ("c/empty", []),
+        ("d/badyaml", [make_span("frontmatter", ": bad [")]),
+        ("e/nullfm", [make_span("frontmatter", None)]),
+        ("f/unicode", [make_span("text", "café wörd [[X]]", offset=5),
+                       make_span("text", "earlier", offset=3)]),
+        ("h/ctl", [make_span("text", "x\x1c\x1dy z")]),
+    ]
+    out = {r["doc_id"]: r for r in ExtractNotes()(spans_table(rows)).to_pylist()}
 
-    def _batch(self):
-        import pyarrow as pa
+    a = out["a/note1"]
+    assert a["tags"] == ["todo", "x", "tag"] and a["is_todo"] is True
+    assert a["aliases"] == ["A", "B"]
+    assert [(m["kind"], m["target_key"]) for m in a["mentions"]] == [
+        ("tag_frontmatter", "todo"), ("tag_frontmatter", "x"),
+        ("link", "T"), ("tag_inline", "tag"), ("media", "i.png"),
+    ]
+    assert out["c/empty"]["n_words"] == 0 and out["c/empty"]["mentions"] == []
+    assert out["d/badyaml"]["parse_error"] is not None
+    assert out["d/badyaml"]["tags"] == []
+    assert out["e/nullfm"]["properties_json"] is None
+    assert out["e/nullfm"]["parse_error"] is None
+    # "earlier\ncafé wörd [[X]]": 8 + 17 UTF-8 bytes (é, ö are 2 each)
+    assert out["f/unicode"]["n_bytes"] == 25
+    assert out["f/unicode"]["n_words"] == 4
+    assert out["h/ctl"]["n_words"] == 2
 
-        from obsidian_parser_ray.corpus import make_span, spans_table
-
-        return spans_table(
-            [("a", [make_span("text", "hi [[b]] #t", offset=0)]),
-             ("b", [make_span("text", "yo", offset=0)])]
-        )
-
-    def test_env_forces_path(self, monkeypatch):
-        from obsidian_parser_ray.stages.extract import ExtractNotes
-
-        monkeypatch.setenv("GRAFT_VECTOR_EXTRACT", "1")
-        assert ExtractNotes().vectorized is True
-        monkeypatch.setenv("GRAFT_VECTOR_EXTRACT", "0")
-        assert ExtractNotes().vectorized is False
-        monkeypatch.delenv("GRAFT_VECTOR_EXTRACT", raising=False)
-        assert ExtractNotes().vectorized is None  # auto until first call
-
-    def test_probe_decision_applied_both_ways(self, monkeypatch):
-        from obsidian_parser_ray.stages import extract
-
-        monkeypatch.delenv("GRAFT_VECTOR_EXTRACT", raising=False)
-        batch = self._batch()
-        outs = []
-        for forced in (True, False):
-            monkeypatch.setattr(
-                extract, "_probe_vectorized", lambda f=forced: f
-            )
-            e = extract.ExtractNotes()
-            assert e.vectorized is None
-            out = e(batch)
-            assert e.vectorized is forced  # decision cached on self
-            outs.append(out)
-        # row-identical regardless of which path the probe picked
-        assert outs[0].equals(outs[1])
-
-    def test_real_probe_runs_and_caches(self, monkeypatch):
-        from obsidian_parser_ray.stages import extract
-
-        monkeypatch.setattr(extract, "_AUTO_VECTOR", None)
-        v = extract._probe_vectorized()
-        assert isinstance(v, bool)
-        assert extract._AUTO_VECTOR is v
-        assert extract._probe_vectorized() is v  # cached
+    strict = ExtractNotes(strict_lists=True)(
+        spans_table([("s", [make_span("frontmatter", "tags:\n  - 7")])])
+    ).to_pylist()[0]
+    assert strict["parse_error"] is not None and strict["tags"] == []

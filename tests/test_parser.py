@@ -178,7 +178,7 @@ class TestPropertiesAliasesTodo:
         import pytest
 
         from obsidian_parser_ray.parser import ListTypeError, frontmatter_tags
-        from obsidian_parser_ray.stages.extract import extract_note_row
+        from obsidian_parser_ray.stages.extract import parse_doc
 
         props_num = parse_properties("tags:\n- 42\n- ok")[0]
         # lenient (default): unquoted scalar stringified
@@ -198,10 +198,10 @@ class TestPropertiesAliasesTodo:
                   "offset": 0},
                  {"kind": "text", "text": "Body #ok", "media_ref": None,
                   "offset": 1}]
-        note, mentions = extract_note_row("n", spans, strict_lists=True)
+        note, mentions = parse_doc("n", spans, strict_lists=True)
         assert note["parse_error"] and "string" in note["parse_error"]
         assert note["tags"] == ["ok"]  # inline tags still extracted
-        lenient, _ = extract_note_row("n", spans)
+        lenient, _ = parse_doc("n", spans)
         assert lenient["parse_error"] is None
         assert lenient["tags"] == ["42", "ok"]
 

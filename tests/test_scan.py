@@ -204,102 +204,3 @@ class TestFuzzDifferential:
             docs.append((f"d/{d}", spans))
         assert_parity(make_batch(docs))
         assert_parity(make_batch(docs), strict_lists=True)
-
-
-class TestFullAttrsDifferential:
-    """ExtractNotes._call_vectorized (flat content join + batched word
-    count/md5/props) must equal _call_rowwise (the parse_doc loop)
-    column for column — the full NOTES_SCHEMA, not just mentions."""
-
-    def _assert_notes_parity(self, batch, **kw):
-        from obsidian_parser_ray.stages.extract import ExtractNotes
-
-        for keep in (False, True):
-            ex = ExtractNotes(keep_spans=keep, **kw)
-            v = ex._call_vectorized(batch)
-            r = ex._call_rowwise(batch)
-            assert v.schema.equals(r.schema)
-            for name in v.schema.names:
-                assert v[name].to_pylist() == r[name].to_pylist(), name
-
-    def test_golden_attrs(self):
-        docs = [
-            ("a/note1", [
-                sp("frontmatter", "tags: [todo, x]\naliases: [A, B]"),
-                sp("text", "see [[T|lbl]] and #tag words", offset=10),
-                sp("media", media_ref="i.png", offset=50),
-            ]),
-            ("b/plain", [sp("text", "three plain words")]),
-            ("c/empty", []),
-            ("d/badyaml", [sp("frontmatter", ": bad [")]),
-            ("e/nullfm", [sp("frontmatter", None)]),
-            ("f/unicode", [sp("text", "café wörd [[X]]", offset=5),
-                           sp("text", "earlier", offset=3)]),
-            ("g/ws", [sp("text", ""), sp("text", "a  b\tc\nd", offset=5)]),
-            ("h/ctl", [sp("text", "x\x1c\x1dy z")]),
-        ]
-        batch = make_batch(docs)
-        self._assert_notes_parity(batch)
-        self._assert_notes_parity(batch, strict_lists=True)
-        self._assert_notes_parity(batch.slice(0, 0))
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_random_corpora_attrs(self, seed):
-        rng = np.random.default_rng(1000 + seed)
-        frag = ["[[", "]]", "![[", "#", "w", " ", "\n", "|", "^",
-                "[[N|A]]", "тэг", "😭", "\t", "#тег", "word", "  ",
-                "\x1c", "todo"]
-        docs = []
-        for d in range(40):
-            spans = []
-            n_spans = int(rng.integers(0, 5))
-            offsets = rng.permutation(n_spans + 2)[:n_spans]
-            for j in range(n_spans):
-                kind = rng.choice(
-                    ["text", "text", "text", "frontmatter", "media"]
-                )
-                if kind == "text":
-                    txt = "".join(rng.choice(frag, rng.integers(0, 30)))
-                    spans.append(sp("text", txt, offset=int(offsets[j])))
-                elif kind == "frontmatter":
-                    fm = rng.choice([
-                        "tags: [todo, b]", "aliases: [Q]", "k: v",
-                        "tags: [unclosed", "tags:\n  - x\naliases:\n  - y",
-                        "tags:\n  - 7",
-                    ])
-                    spans.append(
-                        sp("frontmatter", str(fm), offset=int(offsets[j]))
-                    )
-                else:
-                    spans.append(sp(
-                        "media", media_ref=f"m{d}_{j}",
-                        offset=int(offsets[j]),
-                    ))
-            docs.append((f"d/{d}", spans))
-        batch = make_batch(docs)
-        self._assert_notes_parity(batch)
-        self._assert_notes_parity(batch, strict_lists=True)
-
-    def test_vectorized_chunking_equivalence(self):
-        """The cache-sized chunk split must be invisible in the output."""
-        import obsidian_parser_ray.stages.extract as ex_mod
-
-        docs = [
-            (f"d/{i}", [
-                sp("frontmatter", f"tags: [t{i % 3}]"),
-                sp("text", f"body [[N{i}]] words #k{i % 5} " * 20,
-                   offset=10),
-            ])
-            for i in range(300)
-        ]
-        batch = make_batch(docs)
-        ex = ex_mod.ExtractNotes(vectorized=True)
-        whole = ex._call_rowwise(batch)
-        old = (ex_mod._VEC_CHUNK_BYTES, ex_mod._VEC_CHUNK_MIN_ROWS)
-        try:
-            ex_mod._VEC_CHUNK_BYTES = 1 << 12   # force many chunks
-            ex_mod._VEC_CHUNK_MIN_ROWS = 16
-            chunked = ex(batch)
-        finally:
-            ex_mod._VEC_CHUNK_BYTES, ex_mod._VEC_CHUNK_MIN_ROWS = old
-        assert chunked.to_pylist() == whole.to_pylist()
