@@ -369,8 +369,8 @@ def _q_kg_pagerank(sf_dir: str):
 
 def _q_kg_bfs(sf_dir: str):
     """BFS hop distances from note_0 over the undirected links_to
-    graph (≤ 6 hops) — frontier expansion as per-round bounded
-    semi/anti joins."""
+    graph (≤ 6 hops) — frontier expansion over the caller-side CSR, or
+    per-hop exchanges past the broadcast guard."""
     from obsidian_parser_ray.stages.graphops import bfs_hops
 
     return bfs_hops(
@@ -1455,7 +1455,8 @@ def _q_doc_cooccurrence(sf_dir: str):
 
 def _q_graph_walks(sf_dir: str):
     """Deterministic random walks (stages/graphops.py random_walks —
-    hash-min uniform neighbor sampling, one bounded shuffle per step)
+    hash-min uniform neighbor sampling over the caller-side CSR, or
+    per-step Dataset rounds past the broadcast guard)
     over the customer→order→supplier graph, gated: exactly one walk
     per customer-with-orders (SQL-exact count) and EVERY emitted hop
     must be a real edge (distributed anti-join of hop pairs vs the

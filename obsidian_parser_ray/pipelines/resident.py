@@ -22,9 +22,17 @@ Positions follow the ids' sort order (byte order for strings), so a
 min over positions is the min id.  Past the guard
 :func:`node_universe` returns ``None`` and the callers run their
 Dataset loops instead.
+
+BFS and the random walks touch only a frontier's neighbour slices per
+hop, so under the same guard they skip the object store too:
+:func:`caller_csr` collects one predicate's edges on the driver as a
+:class:`CallerCSR` (no Dataset execution on a materialized input, one
+pred-filter execution on a lazy one) and every hop is a numpy gather.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -184,3 +192,100 @@ def node_table(columns: dict, num_blocks: int):
     return rd.from_arrow(
         [t.slice(i, step) for i in range(0, t.num_rows, step)] or [t]
     )
+
+
+def pred_edges(triples, pred: str | None):
+    """Lazy ``(subj, obj)`` rows of ``pred`` (every row for ``None``),
+    rows with a null endpoint dropped — the edge set :func:`caller_csr`
+    holds, for the Dataset loops past its guard."""
+    return triples.map_batches(_edge_rows(pred), batch_format="pyarrow")
+
+
+def _edge_rows(pred: str | None):
+    from ..stages.canonicalize import pred_filter
+
+    keep = pred_filter(pred) if pred is not None else None
+
+    def f(t: pa.Table) -> pa.Table:
+        if keep is not None:
+            t = keep(t)
+        return t.select(["subj", "obj"]).drop_null()
+
+    return f
+
+
+class CallerCSR(NamedTuple):
+    """One predicate's edges on the driver, compressed by source.
+
+    ``universe`` holds the sorted distinct ids; ``s``/``d`` are int32
+    positions in it, sorted on ``(s, d)``; ``d[offsets[v]:offsets[v+1]]``
+    are the neighbours of position ``v``.
+    """
+
+    universe: pa.Array
+    s: np.ndarray
+    d: np.ndarray
+    offsets: np.ndarray
+
+    def neighbours(self, nodes: np.ndarray):
+        """``(i, nbr)`` for every edge out of ``nodes[i]``, in ``nodes``
+        order and then neighbour order."""
+        lo = self.offsets[nodes]
+        cnt = self.offsets[nodes + 1] - lo
+        i = np.repeat(np.arange(len(nodes)), cnt)
+        at = np.arange(len(i)) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+        return i, self.d[at]
+
+
+def caller_csr(triples, pred: str | None, *, undirected: bool = False,
+               max_rows: int | None = None):
+    """``(csr, edges)``: the :class:`CallerCSR` of ``pred``'s edges (both
+    directions when ``undirected``), or ``None`` past the broadcast
+    guard, and the :func:`pred_edges` Dataset for the loops past it.
+
+    The guard is ``stages.joins.BROADCAST_MAX_ROWS`` rows (``max_rows``
+    caps it further) and ``BROADCAST_MAX_BYTES``, read at call time.  A
+    materialized ``triples`` is judged on its own block metadata and its
+    blocks are fetched with ``ray.get`` — no Dataset execution.  A lazy
+    one runs ONE pred-filter execution, which the returned ``edges``
+    reuse, so past the guard its lineage does not run twice.
+    """
+    import ray
+    from ray.data.dataset import MaterializedDataset
+
+    from ..stages import joins
+
+    edges = pred_edges(triples, pred)
+    held = triples
+    if not isinstance(triples, MaterializedDataset):
+        held = edges = edges.materialize()
+    limit = joins.BROADCAST_MAX_ROWS
+    if max_rows is not None:
+        limit = min(limit, max_rows)
+    if held.count() > limit or held.size_bytes() > joins.BROADCAST_MAX_BYTES:
+        return None, edges
+    # materialize() of a materialized Dataset is free, and unlike a bare
+    # from_arrow Dataset its to_arrow_refs() starts no execution
+    tables = ray.get(held.materialize().to_arrow_refs())
+    if held is triples:
+        tables = [_edge_rows(pred)(t) for t in tables]
+    tables = [t for t in tables if t.num_rows] or [pa.table(
+        {"subj": pa.array([], pa.string()), "obj": pa.array([], pa.string())}
+    )]
+    kt = tables[0].schema.field("subj").type
+    subj, obj = (
+        pa.chunked_array(
+            [c for t in tables for c in pc.cast(t[col], kt).chunks], kt)
+        for col in ("subj", "obj")
+    )
+    ids = pc.unique(pa.chunked_array(subj.chunks + obj.chunks, kt))
+    universe = ids.take(pc.sort_indices(ids))
+    s = pc.index_in(subj, value_set=universe).to_numpy()
+    d = pc.index_in(obj, value_set=universe).to_numpy()
+    if undirected:
+        s, d = np.concatenate([s, d]), np.concatenate([d, s])
+    order = np.lexsort((d, s))
+    s, d = s[order].astype(np.int32), d[order].astype(np.int32)
+    offsets = np.zeros(len(universe) + 1, np.int64)
+    np.cumsum(np.bincount(s, minlength=len(universe)), out=offsets[1:])
+    return CallerCSR(universe, s, d, offsets), edges

@@ -212,7 +212,7 @@ class ExtractNotes:
         self.strict_lists = strict_lists
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_ids = batch["doc_id"].to_pylist()
+        doc_ids = batch["doc_id"].cast(pa.string()).to_pylist()
         spans_col = batch["spans"].to_pylist()
         cols: dict[str, list] = {name: [] for name in NOTES_SCHEMA.names}
         for doc_id, spans in zip(doc_ids, spans_col):

@@ -1,5 +1,19 @@
 """Graph-analytic operators over the canonical triples table.
 
+:func:`bfs_hops`, :func:`random_walks` and :func:`biased_walks` share
+one admission guard, ``stages.joins.BROADCAST_MAX_ROWS`` /
+``BROADCAST_MAX_BYTES`` (read at call time), applied to one
+predicate's edge rows by :func:`..pipelines.resident.caller_csr`.
+Under it the edges are collected on the driver as a CSR and every hop
+or step is a numpy gather over neighbour slices — no Dataset execution
+on a materialized input, one pred-filter execution on a lazy one.
+Past it they run their Dataset loops: BFS a per-hop exchange while the
+visited set fits the guard, then semi/anti join rounds; uniform walks
+a map-side step while the frontier fits it, then a co-partition
+exchange per step; biased walks a fan-out exchange plus a
+classification join per step.  Each path emits the same rows
+(pytest-pinned).
+
 :func:`triangle_counts` — EXACT per-node triangle participation counts
 on the undirected graph induced by the triples (all predicates, self
 loops dropped).  The classic degree-orientation algorithm, expressed
@@ -32,7 +46,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .canonicalize import pred_filter
+from ..hashing import hash64_array, hash_bucket_array
 
 _SEP = "\x00"
 
@@ -44,7 +58,6 @@ def _edge_key(a, b):
 def undirected_edges(triples, *, num_partitions: int = 64):
     """Distinct undirected edge set ``(a, b)`` with ``a < b`` from the
     canonical triples (all predicates, self loops dropped)."""
-    from ..hashing import hash_bucket_array
 
     def partial(t: pa.Table) -> pa.Table:
         s, o = t["subj"], t["obj"]
@@ -95,7 +108,6 @@ def triangle_counts(triples, *, num_partitions: int = 64):
     """
     from ray.data.aggregate import Sum
 
-    from ..hashing import hash_bucket_array
     from .joins import broadcast_join_unique
 
     ue = undirected_edges(
@@ -239,36 +251,81 @@ def triangle_counts(triples, *, num_partitions: int = 64):
 def bfs_hops(triples, sources: list[str], *, pred: str = "links_to",
              directed: bool = False, max_hops: int = 8,
              num_partitions: int = 32,
-             max_local_edges: int = 2_000_000):
+             max_local_edges: int | None = None):
     """Hop distances from ``sources`` over the ``pred`` edge set:
-    ``(node, dist)`` for every node within ``max_hops``.
+    ``(node, dist)`` for every node within ``max_hops``.  A source is at
+    distance 0 even without edges; a row with a null endpoint is no
+    edge.
 
-    Frontier-expansion BFS as rounds of bounded Ray joins: each round
-    is one semi join (edges whose tail sits in the frontier) plus one
-    anti join (drop already-visited heads), and the distance label of
-    a node is written exactly once (the first round that reaches it,
-    which IS its BFS distance).  State tables are coalesced +
-    materialized per round (the iterative-pipeline block-growth rule —
-    same as pagerank/components).
+    Three regimes, one result (pytest-pinned):
 
-    Both per-round joins go through the guarded size-adaptive
-    :func:`..stages.joins.broadcast_join_unique` with the
-    frontier/visited table as the right side: while those fit the
-    broadcast guard the EDGE TABLE IS NEVER SHUFFLED — each round is a
-    map-side probe + one frontier-sized dedup exchange (at sf0.1 this
-    took the query from 101 s to ~6 s; r5 scale-sweep finding).  A
-    giant-component visited set past the guard falls back to the
-    shuffle join automatically.  Exchange width is sized from the
-    measured edge count.
+    * edges under the broadcast guard
+      (:func:`..pipelines.resident.caller_csr`) — a numpy frontier loop
+      over the caller-side CSR; no Dataset execution on a materialized
+      input;
+    * past it, while the visited set fits the guard — one execution and
+      one frontier-sized exchange per hop (:func:`_bfs_exchange`);
+    * past that — :func:`_bfs_join_loop`, resumed from the hop the
+      exchange loop reached.
+
+    ``max_local_edges`` caps the edge rows the CSR admits under the
+    guard; ``0`` forces the Dataset paths.
     """
+    from ..pipelines.resident import caller_csr, pred_edges
+
+    start_nodes = sorted(set(sources))
+    if max_local_edges == 0:
+        e = pred_edges(triples, pred)
+    else:
+        csr, e = caller_csr(triples, pred, undirected=not directed,
+                            max_rows=max_local_edges)
+        if csr is not None:
+            return _bfs_csr(csr, start_nodes, max_hops, num_partitions)
+    return _bfs_exchange(e, start_nodes, directed=directed,
+                         max_hops=max_hops, num_partitions=num_partitions)
+
+
+def _bfs_csr(csr, start_nodes, max_hops, num_partitions):
+    """Frontier loop over a :class:`..pipelines.resident.CallerCSR`:
+    gather the frontier's neighbour slices, keep the unvisited ones."""
+    from ..pipelines.resident import exchange_width, node_table
+
+    u = csr.universe
+    src = pa.array(start_nodes, pa.string())
+    pos = pc.index_in(pc.cast(src, u.type), value_set=u)
+    dist = np.full(len(u), -1, np.int64)
+    front = pos.drop_null().to_numpy()
+    dist[front] = 0
+    for hop in range(1, max_hops + 1):
+        nbr = np.unique(csr.neighbours(front)[1])
+        front = nbr[dist[nbr] < 0]
+        if not len(front):
+            break
+        dist[front] = hop
+    reached = np.flatnonzero(dist >= 0)
+    absent = src.filter(pc.is_null(pos))
+    node = pa.concat_arrays([pc.cast(u.take(reached), pa.string()), absent])
+    dist = np.concatenate([dist[reached], np.zeros(len(absent), np.int64)])
+    order = pc.sort_indices(node)
+    return node_table(
+        {"node": node.take(order), "dist": dist[order.to_numpy()]},
+        exchange_width(len(node), num_partitions),
+    )
+
+
+def _bfs_exchange(e, start_nodes, *, directed, max_hops, num_partitions):
+    """BFS as one execution and ONE exchange per hop over the
+    materialized edge table, while the visited set fits the broadcast
+    guard: the frontier ships via ``ray.put``, every resident edge block
+    emits its local distinct reached heads, and the dedup reduce drops
+    already-visited nodes map-side against the visited broadcast — the
+    edge table is never shuffled.  A node's label is written once, by
+    the first hop that reaches it, which IS its distance.  Exchange
+    width is sized from the measured edge count."""
+    import ray
     import ray.data as rd
 
-    from .joins import broadcast_join_unique
-
-    def keep_pred(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(t["pred"], pa.scalar(pred, pa.string())))
-
-    e = triples.map_batches(keep_pred, batch_format="pyarrow")
+    from . import joins
 
     def fwd(t: pa.Table) -> pa.Table:
         return pa.table({"a": t["subj"], "b": t["obj"]})
@@ -280,78 +337,23 @@ def bfs_hops(triples, sources: list[str], *, pred: str = "links_to",
 
         edges = edges.union(e.map_batches(rev, batch_format="pyarrow"))
     edges = edges.materialize()
-    n_edges = edges.count()
     num_partitions = max(4, min(num_partitions,
-                                n_edges // 200_000 + 4))
+                                edges.count() // 200_000 + 4))
 
-    start_nodes = sorted(set(sources))
-
-    # LOCAL fast path — the same auto-guard pattern as the analyzer's
-    # component topology (pipelines/analyzer.py max_local_nodes): an
-    # edge set under the broadcast guard is fetched whole by the
-    # per-hop probes ANYWAY, so below it the whole BFS runs as one
-    # driver sweep over the fetched table instead of max_hops Dataset
-    # executions (~2.5 s of per-execution fixed cost each at sf0.1).
-    # Equality with the distributed loop is pytest-pinned; pass
-    # max_local_edges=0 to force the distributed path.
-    if n_edges <= max_local_edges:
-        tbl = pa.concat_tables(
-            list(edges.iter_batches(batch_format="pyarrow"))
-            or [pa.table({"a": pa.array([], pa.string()),
-                          "b": pa.array([], pa.string())})]
-        ).combine_chunks()
-        adj: dict = {}
-        for a_, b_ in zip(tbl["a"].to_pylist(), tbl["b"].to_pylist()):
-            adj.setdefault(a_, []).append(b_)
-        dist = {s: 0 for s in start_nodes}
-        frontier_l = start_nodes
-        for d in range(1, max_hops + 1):
-            nxt = []
-            for u in frontier_l:
-                for w in adj.get(u, ()):
-                    if w not in dist:
-                        dist[w] = d
-                        nxt.append(w)
-            if not nxt:
-                break
-            frontier_l = nxt
-        items = sorted(dist.items())
-        return rd.from_arrow(pa.table({
-            "node": pa.array([k for k, _ in items], pa.string()),
-            "dist": pa.array([v for _, v in items], pa.int64()),
-        }))
     visited_tbl = pa.table({
         "node": pa.array(start_nodes, pa.string()),
         "dist": pa.array([0] * len(start_nodes), pa.int64()),
     })
-
-    # FAST PATH — one execution and ONE exchange per hop, while the
-    # visited set fits the broadcast guard (it is exactly what the
-    # anti probe would broadcast anyway, so holding it as one driver
-    # Arrow table adds no new driver surface): the frontier node set
-    # ships via ray.put, every resident edge block emits its local
-    # distinct reached heads, and the dedup reduce drops
-    # already-visited nodes map-side against the visited broadcast.
-    # Past the guard the remaining hops run the Dataset loop below.
-    import ray as _ray
-
-    from ..hashing import hash_bucket_array
-    from . import joins
-
-    max_bcast_rows = joins.BROADCAST_MAX_ROWS
     frontier_nodes = visited_tbl["node"].combine_chunks()
-    next_hop = 1
-    fell_back = False
-    while next_hop <= max_hops:
-        if visited_tbl.num_rows > max_bcast_rows:
-            fell_back = True
-            break
-        d = next_hop
-        f_ref = _ray.put(frontier_nodes)
-        v_ref = _ray.put(visited_tbl["node"].combine_chunks())
+    for d in range(1, max_hops + 1):
+        if visited_tbl.num_rows > joins.BROADCAST_MAX_ROWS:
+            return _bfs_join_loop(edges, visited_tbl, frontier_nodes, d,
+                                  max_hops, num_partitions)
+        f_ref = ray.put(frontier_nodes)
+        v_ref = ray.put(visited_tbl["node"].combine_chunks())
 
         def probe(t: pa.Table, _f=f_ref) -> pa.Table:
-            f = _ray.get(_f)
+            f = ray.get(_f)
             keep = pc.is_valid(pc.index_in(t["a"], f))
             heads = pc.unique(t.filter(keep)["b"])
             out = pa.table({"node": heads})
@@ -363,7 +365,7 @@ def bfs_hops(triples, sources: list[str], *, pred: str = "links_to",
             if isinstance(nodes, pa.ChunkedArray):
                 nodes = nodes.combine_chunks()
             nodes = pc.unique(nodes)
-            v = _ray.get(_v)
+            v = ray.get(_v)
             fresh = nodes.filter(
                 pc.invert(pc.is_valid(pc.index_in(nodes, v))))
             return pa.table({"node": fresh})
@@ -378,7 +380,7 @@ def bfs_hops(triples, sources: list[str], *, pred: str = "links_to",
             or [pa.table({"node": pa.array([], pa.string())})]
         ).combine_chunks()
         if new_tbl.num_rows == 0:
-            return rd.from_arrow(visited_tbl)
+            break
         visited_tbl = pa.concat_tables([
             visited_tbl,
             new_tbl.append_column(
@@ -387,12 +389,21 @@ def bfs_hops(triples, sources: list[str], *, pred: str = "links_to",
             ),
         ]).combine_chunks()
         frontier_nodes = new_tbl["node"].combine_chunks()
-        next_hop += 1
-    if not fell_back:
-        return rd.from_arrow(visited_tbl)
+    return rd.from_arrow(visited_tbl)
 
-    # FALLBACK — Dataset loop (guarded adaptive joins), resumed from
-    # wherever the fast path stopped
+
+def _bfs_join_loop(edges, visited_tbl, frontier_nodes, first_hop,
+                   max_hops, num_partitions):
+    """Hops ``first_hop..max_hops`` as Dataset rounds, for visited sets
+    past the broadcast guard: one semi join (edges whose tail sits in
+    the frontier) and one anti join (drop visited heads) per round,
+    both through the guarded :func:`..stages.joins.broadcast_join_unique`,
+    with the state coalesced before each ``materialize`` (the
+    iterative-pipeline block-growth rule)."""
+    import ray.data as rd
+
+    from .joins import broadcast_join_unique
+
     visited = rd.from_arrow(visited_tbl).repartition(
         num_partitions // 4 or 1, shuffle=False
     ).materialize()
@@ -400,31 +411,28 @@ def bfs_hops(triples, sources: list[str], *, pred: str = "links_to",
         pa.table({"node": frontier_nodes})
     ).materialize()
 
-    for d in range(next_hop, max_hops + 1):
-        # heads of edges leaving the frontier, deduped per partition
+    def heads(t: pa.Table) -> pa.Table:
+        out = pa.table({"node": t["b"]})
+        return out.group_by(["node"]).aggregate([])
+
+    def addp(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            "part", hash_bucket_array(t["node"], num_partitions))
+
+    def collapse(t: pa.Table) -> pa.Table:
+        return (t.drop_columns(["part"])
+                .group_by(["node"]).aggregate([]))
+
+    for d in range(first_hop, max_hops + 1):
+        # heads of edges leaving the frontier, deduped per partition,
+        # then globally (a head can arrive from many partitions)
         reached = broadcast_join_unique(
             edges, frontier.select_columns(["node"]),
             left_key="a", right_key="node", how="semi",
             num_partitions=num_partitions,
         )
-
-        def heads(t: pa.Table) -> pa.Table:
-            out = pa.table({"node": t["b"]})
-            return out.group_by(["node"]).aggregate([])
-
-        cand = reached.map_batches(heads, batch_format="pyarrow")
-        # global dedup (a head can arrive from many partitions)
-        from ..hashing import hash_bucket_array
-
-        def addp(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "part", hash_bucket_array(t["node"], num_partitions))
-
-        def collapse(t: pa.Table) -> pa.Table:
-            return (t.drop_columns(["part"])
-                    .group_by(["node"]).aggregate([]))
-
-        cand = (cand.map_batches(addp, batch_format="pyarrow")
+        cand = (reached.map_batches(heads, batch_format="pyarrow")
+                .map_batches(addp, batch_format="pyarrow")
                 .groupby("part")
                 .map_groups(collapse, batch_format="pyarrow"))
         new = broadcast_join_unique(
@@ -432,9 +440,9 @@ def bfs_hops(triples, sources: list[str], *, pred: str = "links_to",
             left_key="node", how="anti", num_partitions=num_partitions,
         )
 
-        def label(t: pa.Table) -> pa.Table:
+        def label(t: pa.Table, _d=d) -> pa.Table:
             return t.append_column(
-                "dist", pa.array([d] * t.num_rows, pa.int64()))
+                "dist", pa.array([_d] * t.num_rows, pa.int64()))
 
         frontier = new.map_batches(
             label, batch_format="pyarrow"
@@ -529,18 +537,13 @@ def k_core(triples, *, k: int = 2, num_partitions: int = 16,
     raise RuntimeError(f"k_core did not converge in {max_iters} rounds")
 
 
-_EMPTY_PICK = None
-
-
 def _pick_hops(walks: pa.Table, edges_kv: pa.Table, step_seed: str,
                keep_hash: bool) -> pa.Table:
-    """Shared hash-min hop kernel for both walk paths: Acero join of
-    (walk_id, cur) against (cur, nxt), per-(walk, neighbor, step)
-    hash, per-walk argmin via one sort + adjacent-run mask.  With
+    """Shared hash-min hop kernel for both Dataset step paths: Acero
+    join of (walk_id, cur) against (cur, nxt), per-(walk, neighbor,
+    step) hash, per-walk argmin via one sort + adjacent-run mask.  With
     ``keep_hash`` the winner rows keep ``_h`` so per-block winners can
-    be min-combined globally (broadcast path)."""
-    from ..hashing import hash64_array
-
+    be min-combined globally (map-side step)."""
     cols = {"walk_id": pa.array([], pa.string()),
             "cur": pa.array([], pa.string())}
     if keep_hash:
@@ -588,232 +591,294 @@ def _first_per_walk(s: pa.Table) -> pa.Table:
     return s.filter(pa.array(first))
 
 
-def random_walks(triples, *, walks_per_node: int = 1, walk_len: int = 4,
-                 pred: str | None = "links_to", seed: int = 42,
-                 num_partitions: int = 64,
-                 broadcast_frontier: bool | None = None,
-                 max_broadcast_rows: int = 2_000_000,
-                 max_broadcast_bytes: int = 256 << 20):
-    """Deterministic uniform random walks over the directed edge set —
-    DeepWalk/node2vec-style corpus generation for graph ML.
+def _walk_ids(subjects: pa.Array, walks_per_node: int):
+    """``(walk_id, index)``: ``f"{subject}#{k}"`` for every subject ×
+    ``k < walks_per_node``, and the subject index of each."""
+    idx = np.repeat(np.arange(len(subjects)), walks_per_node)
+    k = np.tile(np.arange(walks_per_node), len(subjects)).astype("int64")
+    wid = pc.binary_join_element_wise(
+        subjects.take(pa.array(idx)), pc.cast(pa.array(k), pa.string()), "#")
+    return wid, idx
 
-    Every node starts ``walks_per_node`` walks; at each step the next
-    hop is chosen uniformly among the current node's out-neighbors by
-    HASH-MIN sampling: ``argmin hash64(seed, walk_id, step, neighbor)``
-    — deterministic (reruns emit identical walks), uniform per step,
-    and computable inside the partition holding the node's adjacency.
-    Walks at sink nodes (no out-edges) simply stop.
 
-    Dataflow per step (``walk_len`` bounded rounds): while the
-    frontier fits the broadcast guard (``broadcast_frontier=None`` =
-    auto; True/False force), the step is MAP-SIDE — the frontier
-    table ships once via ``ray.put``, every resident edge block joins
-    it locally (Acero hash join) and emits its per-walk hash-min
-    winner, and one winner-sized exchange (≈ frontier rows, not edge
-    rows) picks the global per-walk minimum.  The edge table is NEVER
-    re-shuffled.  Past the guard the step falls back to the original
-    co-partition shuffle (frontier ∪ edges on the current node — one
-    bounded hash exchange carrying the edge rows).  Both paths use
-    the identical per-(walk, neighbor, step) hash, so they emit
-    IDENTICAL walks (pytest-pinned).  Per-step work is Σ deg(cur)
-    either way — the inherent cost of uniform neighbor sampling
-    without a prebuilt alias table.
-
-    Output: ``(walk_id, step, node)`` rows, step 0 = the start node.
-    """
-    import pandas as pd
-
-    from ..hashing import hash64_array, hash_bucket_array
-
-    edges = triples
-    if pred is not None:
-        edges = edges.map_batches(pred_filter(pred), batch_format="pyarrow")
-    edges = edges.select_columns(["subj", "obj"])
-
-    # start frontier: every distinct subject × walks_per_node
-    def starts(t: pa.Table) -> pa.Table:
-        import numpy as _np
-
+def _start_walks(walks_per_node: int, with_prev: bool):
+    """Batch fn: the start rows of a block's distinct subjects (``prev``
+    is ``""`` before the first hop of a biased walk)."""
+    def f(t: pa.Table) -> pa.Table:
         subj = t["subj"]
         if isinstance(subj, pa.ChunkedArray):
             subj = subj.combine_chunks()
         u = pc.unique(subj)
-        n = len(u)
-        rep = pc.take(u, pa.array(
-            _np.repeat(_np.arange(n), walks_per_node)))
-        k = pa.array(
-            _np.tile(_np.arange(walks_per_node), n).astype("int64"))
-        wid = pc.binary_join_element_wise(
-            rep, pc.cast(k, pa.string()), "#")
-        return pa.table({"walk_id": wid, "cur": rep})
+        wid, idx = _walk_ids(u, walks_per_node)
+        cols = {"walk_id": wid}
+        if with_prev:
+            cols["prev"] = pa.array([""] * len(wid), pa.string())
+        cols["cur"] = u.take(pa.array(idx))
+        return pa.table(cols)
 
-    # one materialized pass over the edge lineage feeds the start
-    # frontier, the width probe, and the per-step tagged table alike
-    edges = edges.materialize()
+    return f
 
-    # distinct start rows (subjects repeat across blocks) — the
-    # partitioned Arrow distinct; a groupby(walk_id).map_groups here
-    # costs one Python call PER WALK (r5 finding: 2.9 s vs 1.3 s at
-    # 162k walks) and inflates the block count
+
+def _emit(step: int):
+    def f(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "walk_id": t["walk_id"],
+            "step": pa.array([step] * t.num_rows, pa.int64()),
+            "node": t["cur"],
+        })
+
+    return f
+
+
+def _union(parts):
+    return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+
+
+def _walks_csr(csr, *, walks_per_node, walk_len, seed, num_partitions,
+               bias=None):
+    """Every step of :func:`random_walks` (``bias=None``) or
+    :func:`biased_walks` (``bias=(p, q)``) over a
+    :class:`..pipelines.resident.CallerCSR`: a segmented hash-min over
+    the current nodes' neighbour slices.  Keys, weights and the
+    (score, neighbour) tie-break are the Dataset loops', so the walks
+    are row-identical; positions follow byte order, as the loops' sort
+    on ``cur`` does."""
+    from ..pipelines.resident import exchange_width, node_table
+
+    u = csr.universe
+    n = len(u)
+    subjects = np.flatnonzero(np.diff(csr.offsets))
+    wid, idx = _walk_ids(u.take(pa.array(subjects)), walks_per_node)
+    walk, cur = np.arange(len(wid)), subjects[idx]
+    if bias is not None:
+        p, q = bias
+        edge_keys = csr.s.astype(np.int64) * n + csr.d  # sorted
+        # the loop's first-hop prev is the id "" — a node only if present
+        blank = pc.index_in(pa.array([""], u.type), value_set=u)[0].as_py()
+        prev = np.full(len(walk), -1 if blank is None else blank, np.int64)
+    steps = [(walk, cur)]
+    for step in range(1, walk_len + 1):
+        i, nbr = csr.neighbours(cur)
+        if not len(i):
+            break
+        # the uniform loop joins (seed|step|, walk_id, nbr) with "|"
+        prefix = f"{seed}|{step}|" + ("|" if bias is None else "")
+        key = pc.binary_join_element_wise(
+            pa.scalar(prefix),
+            pc.binary_join_element_wise(wid.take(pa.array(walk[i])),
+                                        u.take(pa.array(nbr)), "|"),
+            "")
+        score = hash64_array(key.to_numpy(zero_copy_only=False))
+        if bias is not None:
+            # Efraimidis–Spirakis key with node2vec's 1/p, 1, 1/q weights
+            pv = prev[i]
+            pk = pv * n + nbr
+            at = np.minimum(np.searchsorted(edge_keys, pk),
+                            len(edge_keys) - 1)
+            w = np.where(nbr == pv, 1.0 / p,
+                         np.where(edge_keys[at] == pk, 1.0, 1.0 / q))
+            score = (-np.log((score.astype(np.float64) + 0.5) / 2.0**64)) / w
+        order = np.lexsort((nbr, score, i))
+        i, nbr = i[order], nbr[order]
+        win = np.r_[True, i[1:] != i[:-1]]
+        if bias is not None:
+            prev = cur[i[win]]
+        walk, cur = walk[i[win]], nbr[win]
+        steps.append((walk, cur))
+    walk = np.concatenate([w for w, _ in steps])
+    return node_table(
+        {
+            "walk_id": wid.take(pa.array(walk)),
+            "step": np.repeat(np.arange(len(steps), dtype=np.int64),
+                              [len(w) for w, _ in steps]),
+            "node": u.take(pa.array(np.concatenate([c for _, c in steps]))),
+        },
+        exchange_width(len(walk), num_partitions),
+    )
+
+
+def random_walks(triples, *, walks_per_node: int = 1, walk_len: int = 4,
+                 pred: str | None = "links_to", seed: int = 42,
+                 num_partitions: int = 64):
+    """Deterministic uniform random walks over the directed edge set —
+    DeepWalk/node2vec-style corpus generation for graph ML.
+
+    Every node with out-edges starts ``walks_per_node`` walks; at each
+    step the next hop is chosen uniformly among the current node's
+    out-neighbors by HASH-MIN sampling: ``argmin hash64(seed, step,
+    walk_id, neighbor)`` — deterministic (reruns emit identical walks),
+    uniform per step, and computable wherever the node's adjacency
+    lives.  Walks at sink nodes (no out-edges) simply stop; rows with a
+    null endpoint are no edges.
+
+    Three step paths, one hash, IDENTICAL walks (pytest-pinned), chosen
+    by the broadcast guard (``stages.joins.BROADCAST_MAX_ROWS`` /
+    ``_BYTES``, read at call time):
+
+    * edges under the guard — every step on the caller over the
+      :func:`..pipelines.resident.caller_csr` (no Dataset execution on
+      a materialized input);
+    * past it, frontier under the guard — map-side steps
+      (:func:`_walk_step_mapside`): the frontier ships via ``ray.put``
+      and only winner rows are exchanged;
+    * past both — co-partition steps (:func:`_walk_step_shuffle`): one
+      exchange of frontier ∪ edges on the current node.
+
+    Output: ``(walk_id, step, node)`` rows, step 0 = the start node.
+    """
+    from ..pipelines.resident import caller_csr
+
+    csr, edges = caller_csr(triples, pred)
+    if csr is not None:
+        return _walks_csr(csr, walks_per_node=walks_per_node,
+                          walk_len=walk_len, seed=seed,
+                          num_partitions=num_partitions)
+
+    from . import joins
     from .joins import distinct_rows
 
-    frontier = distinct_rows(
-        edges.map_batches(starts, batch_format="pyarrow"),
-        ["walk_id", "cur"], num_partitions=8,
-    ).repartition(8, shuffle=False).materialize()
-
-    out_parts = []
-
-    def emit(step: int):
-        def f(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "walk_id": t["walk_id"],
-                    "step": pa.array([step] * t.num_rows, pa.int64()),
-                    "node": t["cur"],
-                }
-            )
-
-        return f
-
-    out_parts.append(frontier.map_batches(emit(0), batch_format="pyarrow"))
-
-    def tag_walk(t: pa.Table) -> pa.Table:
-        cur = t["cur"]
-        if isinstance(cur, pa.ChunkedArray):
-            cur = cur.combine_chunks()
-        n = t.num_rows
-        return pa.table(
-            {
-                "part": hash_bucket_array(cur, num_partitions),
-                "is_edge": pa.array([False] * n, pa.bool_()),
-                "key": cur,
-                "walk_id": t["walk_id"],
-                "obj": pa.nulls(n, pa.string()),
-            }
-        )
-
-    def tag_edge(t: pa.Table) -> pa.Table:
-        subj = t["subj"]
-        if isinstance(subj, pa.ChunkedArray):
-            subj = subj.combine_chunks()
-        n = t.num_rows
-        return pa.table(
-            {
-                "part": hash_bucket_array(subj, num_partitions),
-                "is_edge": pa.array([True] * n, pa.bool_()),
-                "key": subj,
-                "walk_id": pa.nulls(n, pa.string()),
-                "obj": t["obj"],
-            }
-        )
-
-    # materialized ONCE: lazy, the edge table would re-derive its
-    # whole lineage (the triples build / fact-table reads in callers)
-    # on every step's union (r5 scale-sweep finding).  The per-step
-    # exchange still carries the edge rows — the inherent cost of
-    # uniform sampling without a persisted adjacency layout
-    # (read_adjacency is the 10^12-scale alternative).  ORDER MATTERS:
-    # the exchange width must be fixed BEFORE either tag map runs —
-    # walks and edges co-locate only because both hash with the SAME
-    # modulus (a mismatch silently strands walks at step 0: they
-    # "stop", which the sink-node semantics make look legal).
+    # one materialized pass over the edge lineage feeds the start
+    # frontier, the width probe, and the per-step tables alike
+    edges = edges.materialize()
+    # exchange width fixed BEFORE any tag map runs: walks and edges
+    # co-locate only because both hash with the SAME modulus (a
+    # mismatch silently strands walks at step 0: they "stop", which
+    # the sink-node semantics make look legal)
     num_partitions = max(4, min(num_partitions,
                                 edges.count() // 200_000 + 4))
-
-    # built on first FALLBACK use only — the broadcast path never
-    # needs the tagged union table
-    _tagged_cache: list = []
-
-    def _tagged_edges():
-        if not _tagged_cache:
-            _tagged_cache.append(
-                edges.map_batches(
-                    tag_edge, batch_format="pyarrow"
-                ).materialize()
-            )
-        return _tagged_cache[0]
-
-    import ray as _ray
-
-    from ..hashing import hash_bucket_array as _hba
+    # distinct start rows (subjects repeat across blocks) — the
+    # partitioned Arrow distinct
+    frontier = distinct_rows(
+        edges.map_batches(_start_walks(walks_per_node, False),
+                          batch_format="pyarrow"),
+        ["walk_id", "cur"], num_partitions=8,
+    ).repartition(8, shuffle=False).materialize()
+    out_parts = [frontier.map_batches(_emit(0), batch_format="pyarrow")]
+    tagged = []  # built on first co-partition step only
 
     for step in range(1, walk_len + 1):
         step_seed = f"{seed}|{step}|"
         n_frontier = frontier.count()
-        use_bcast = broadcast_frontier
-        if use_bcast is None:
-            use_bcast = (n_frontier <= max_broadcast_rows
-                         and frontier.size_bytes() <= max_broadcast_bytes)
-        if use_bcast:
-            # map-side step: the frontier ships once, every resident
-            # edge block picks its local per-walk hash-min, and only
-            # the winner rows (≈ frontier-sized) are exchanged
-            f_tbl = pa.concat_tables(
-                list(frontier.iter_batches(batch_format="pyarrow"))
-                or [pa.table({"walk_id": pa.array([], pa.string()),
-                              "cur": pa.array([], pa.string())})]
-            ).combine_chunks()
-            f_ref = _ray.put(f_tbl)
-
-            def local_pick(t: pa.Table, _ss=step_seed,
-                           _ref=f_ref) -> pa.Table:
-                f = _ray.get(_ref)  # zero-copy plasma read per task
-                return _pick_hops(
-                    f, pa.table({"cur": t["subj"], "nxt": t["obj"]}),
-                    _ss, keep_hash=True,
-                )
-
-            cmb = max(4, min(num_partitions, n_frontier // 500_000 + 4))
-
-            def addp(t: pa.Table) -> pa.Table:
-                return t.append_column("part", _hba(t["walk_id"], cmb))
-
-            def pick_global(g: pa.Table) -> pa.Table:
-                return _first_per_walk(
-                    g.drop_columns(["part"])
-                ).select(["walk_id", "cur"])
-
-            frontier = (
-                edges.map_batches(local_pick, batch_format="pyarrow")
-                .map_batches(addp, batch_format="pyarrow")
-                .groupby("part")
-                .map_groups(pick_global, batch_format="pyarrow")
-                .repartition(cmb, shuffle=False)
-                .materialize()
-            )
+        if (n_frontier <= joins.BROADCAST_MAX_ROWS
+                and frontier.size_bytes() <= joins.BROADCAST_MAX_BYTES):
+            frontier = _walk_step_mapside(frontier, edges, step_seed,
+                                          n_frontier, num_partitions)
         else:
-            def hop(g: pa.Table, _ss=step_seed) -> pa.Table:
-                is_edge = g["is_edge"]
-                if isinstance(is_edge, pa.ChunkedArray):
-                    is_edge = is_edge.combine_chunks()
-                walks = g.filter(pc.invert(is_edge))
-                eg = g.filter(is_edge)
-                return _pick_hops(
-                    pa.table({"walk_id": walks["walk_id"],
-                              "cur": walks["key"]}),
-                    pa.table({"cur": eg["key"], "nxt": eg["obj"]}),
-                    _ss, keep_hash=False,
-                )
-
-            frontier = (
-                frontier.map_batches(tag_walk, batch_format="pyarrow")
-                .union(_tagged_edges())
-                .groupby("part")
-                .map_groups(hop, batch_format="pyarrow")
-                .repartition(num_partitions, shuffle=False)
-                .materialize()
-            )
+            if not tagged:
+                tagged.append(edges.map_batches(
+                    _tag_edges, batch_format="pyarrow",
+                    fn_kwargs={"num_partitions": num_partitions},
+                ).materialize())
+            frontier = _walk_step_shuffle(frontier, tagged[0], step_seed,
+                                          num_partitions)
         if frontier.count() == 0:
             break
         out_parts.append(
-            frontier.map_batches(emit(step), batch_format="pyarrow")
+            frontier.map_batches(_emit(step), batch_format="pyarrow"))
+    return _union(out_parts)
+
+
+def _walk_step_mapside(frontier, edges, step_seed, n_frontier,
+                       num_partitions):
+    """One step with the frontier broadcast: every resident edge block
+    picks its local per-walk hash-min and only the winner rows (≈
+    frontier-sized) are exchanged; the edge table is never
+    re-shuffled."""
+    import ray
+
+    f_tbl = pa.concat_tables(
+        list(frontier.iter_batches(batch_format="pyarrow"))
+        or [pa.table({"walk_id": pa.array([], pa.string()),
+                      "cur": pa.array([], pa.string())})]
+    ).combine_chunks()
+    f_ref = ray.put(f_tbl)
+
+    def local_pick(t: pa.Table) -> pa.Table:
+        f = ray.get(f_ref)  # zero-copy plasma read per task
+        return _pick_hops(
+            f, pa.table({"cur": t["subj"], "nxt": t["obj"]}),
+            step_seed, keep_hash=True,
         )
 
-    out = out_parts[0]
-    for p in out_parts[1:]:
-        out = out.union(p)
-    return out
+    cmb = max(4, min(num_partitions, n_frontier // 500_000 + 4))
+
+    def addp(t: pa.Table) -> pa.Table:
+        return t.append_column("part", hash_bucket_array(t["walk_id"], cmb))
+
+    def pick_global(g: pa.Table) -> pa.Table:
+        return _first_per_walk(g.drop_columns(["part"])).select(
+            ["walk_id", "cur"])
+
+    return (
+        edges.map_batches(local_pick, batch_format="pyarrow")
+        .map_batches(addp, batch_format="pyarrow")
+        .groupby("part")
+        .map_groups(pick_global, batch_format="pyarrow")
+        .repartition(cmb, shuffle=False)
+        .materialize()
+    )
+
+
+def _tag_edges(t: pa.Table, *, num_partitions: int,
+               extra=()) -> pa.Table:
+    """Edge rows of a co-partition exchange, keyed on ``subj``."""
+    subj = t["subj"]
+    if isinstance(subj, pa.ChunkedArray):
+        subj = subj.combine_chunks()
+    n = t.num_rows
+    cols = {
+        "part": hash_bucket_array(subj, num_partitions),
+        "is_edge": pa.array([True] * n, pa.bool_()),
+        "key": subj,
+        "walk_id": pa.nulls(n, pa.string()),
+    }
+    cols.update((c, pa.nulls(n, pa.string())) for c in extra)
+    cols["obj"] = t["obj"]
+    return pa.table(cols)
+
+
+def _tag_walks(t: pa.Table, *, num_partitions: int,
+               extra=()) -> pa.Table:
+    """Walk rows of a co-partition exchange, keyed on ``cur``."""
+    cur = t["cur"]
+    if isinstance(cur, pa.ChunkedArray):
+        cur = cur.combine_chunks()
+    n = t.num_rows
+    cols = {
+        "part": hash_bucket_array(cur, num_partitions),
+        "is_edge": pa.array([False] * n, pa.bool_()),
+        "key": cur,
+        "walk_id": t["walk_id"],
+    }
+    cols.update((c, t[c]) for c in extra)
+    cols["obj"] = pa.nulls(n, pa.string())
+    return pa.table(cols)
+
+
+def _walk_step_shuffle(frontier, tagged_edges, step_seed, num_partitions):
+    """One step as a co-partition exchange of frontier ∪ edges on the
+    current node — for frontiers past the broadcast guard."""
+    def hop(g: pa.Table) -> pa.Table:
+        is_edge = g["is_edge"]
+        if isinstance(is_edge, pa.ChunkedArray):
+            is_edge = is_edge.combine_chunks()
+        walks = g.filter(pc.invert(is_edge))
+        eg = g.filter(is_edge)
+        return _pick_hops(
+            pa.table({"walk_id": walks["walk_id"], "cur": walks["key"]}),
+            pa.table({"cur": eg["key"], "nxt": eg["obj"]}),
+            step_seed, keep_hash=False,
+        )
+
+    return (
+        frontier.map_batches(_tag_walks, batch_format="pyarrow",
+                             fn_kwargs={"num_partitions": num_partitions})
+        .union(tagged_edges)
+        .groupby("part")
+        .map_groups(hop, batch_format="pyarrow")
+        .repartition(num_partitions, shuffle=False)
+        .materialize()
+    )
 
 
 def biased_walks(triples, *, walks_per_node: int = 1, walk_len: int = 4,
@@ -831,169 +896,105 @@ def biased_walks(triples, *, walks_per_node: int = 1, walk_len: int = 4,
     walks; ``p = q = 1`` degenerates to uniform sampling.  The first
     hop (no previous node) is uniform.
 
-    Cost per step: the candidate fan-out shuffle (Σ deg(cur), as in
-    :func:`random_walks`) PLUS one distance-1 classification join of
-    the (prev, candidate) pairs against the unique edge-key set —
-    node2vec's inherent extra lookup, kept as a bounded
-    ``hash_join_unique(how="left")``.
+    Edges under the broadcast guard run every step on the caller, as
+    :func:`random_walks` does, with a ``searchsorted`` membership test
+    on the sorted ``s·n+d`` edge keys for the distance-1 class.  Past
+    it, :func:`_biased_walks_loop` — the identical walks as Dataset
+    rounds.
 
     Output: ``(walk_id, step, node)`` rows, step 0 = the start node.
     """
+    from ..pipelines.resident import caller_csr
+
+    csr, edges = caller_csr(triples, pred)
+    if csr is not None:
+        return _walks_csr(csr, walks_per_node=walks_per_node,
+                          walk_len=walk_len, seed=seed,
+                          num_partitions=num_partitions, bias=(p, q))
+    return _biased_walks_loop(edges, walks_per_node=walks_per_node,
+                              walk_len=walk_len, p=p, q=q, seed=seed,
+                              num_partitions=num_partitions)
+
+
+def _strings(**cols) -> pa.Table:
+    return pa.table({k: pc.cast(v, pa.string()) for k, v in cols.items()})
+
+
+def _biased_walks_loop(edges, *, walks_per_node, walk_len, p, q, seed,
+                       num_partitions):
+    """:func:`biased_walks` past the broadcast guard.  Cost per step:
+    the candidate fan-out shuffle (Σ deg(cur)) PLUS one distance-1
+    classification join of the (prev, candidate) pairs against the
+    edge-key set — node2vec's inherent extra lookup, kept as a bounded
+    ``hash_join_unique(how="left")``."""
     import pandas as pd
 
-    from ..hashing import hash64_array, hash_bucket_array
-    from .joins import hash_join_unique
+    from .joins import distinct_rows, hash_join_unique
 
-    edges = triples
-    if pred is not None:
-        edges = edges.map_batches(pred_filter(pred), batch_format="pyarrow")
-    edges = edges.select_columns(["subj", "obj"])
-
-    def starts(t: pa.Table) -> pa.Table:
-        import numpy as _np
-
-        subj = t["subj"]
-        if isinstance(subj, pa.ChunkedArray):
-            subj = subj.combine_chunks()
-        u = pc.unique(subj)
-        n = len(u)
-        rep = pc.take(u, pa.array(_np.repeat(_np.arange(n), walks_per_node)))
-        k = pa.array(_np.tile(_np.arange(walks_per_node), n).astype("int64"))
-        wid = pc.binary_join_element_wise(rep, pc.cast(k, pa.string()), "#")
-        return pa.table(
-            {"walk_id": wid, "prev": pa.array([""] * len(wid), pa.string()),
-             "cur": rep}
-        )
-
-    from .joins import distinct_rows
-
-    frontier = distinct_rows(
-        edges.map_batches(starts, batch_format="pyarrow"),
-        ["walk_id", "prev", "cur"], num_partitions=8,
-    ).repartition(8, shuffle=False).materialize()
-
-    def emit(step: int):
-        def f(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "walk_id": t["walk_id"],
-                    "step": pa.array([step] * t.num_rows, pa.int64()),
-                    "node": t["cur"],
-                }
-            )
-
-        return f
-
-    out_parts = [frontier.map_batches(emit(0), batch_format="pyarrow")]
-
-    def edge_marks(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "pk": pc.binary_join_element_wise(
-                    t["subj"], t["obj"], "\x00"
-                ),
-                "is_d1": pa.array([True] * t.num_rows, pa.bool_()),
-            }
-        )
-
-    edge_key_tbl = edges.map_batches(edge_marks, batch_format="pyarrow")
-
-    def tag_walk(t: pa.Table) -> pa.Table:
-        cur = t["cur"]
-        if isinstance(cur, pa.ChunkedArray):
-            cur = cur.combine_chunks()
-        n = t.num_rows
-        return pa.table(
-            {
-                "part": hash_bucket_array(cur, num_partitions),
-                "is_edge": pa.array([False] * n, pa.bool_()),
-                "key": cur,
-                "walk_id": t["walk_id"],
-                "prev": t["prev"],
-                "obj": pa.nulls(n, pa.string()),
-            }
-        )
-
-    def tag_edge(t: pa.Table) -> pa.Table:
-        subj = t["subj"]
-        if isinstance(subj, pa.ChunkedArray):
-            subj = subj.combine_chunks()
-        n = t.num_rows
-        return pa.table(
-            {
-                "part": hash_bucket_array(subj, num_partitions),
-                "is_edge": pa.array([True] * n, pa.bool_()),
-                "key": subj,
-                "walk_id": pa.nulls(n, pa.string()),
-                "prev": pa.nulls(n, pa.string()),
-                "obj": t["obj"],
-            }
-        )
-
-    # same r5 treatment as random_walks: one materialized edge pass,
-    # width fixed BEFORE either tag map runs (both must hash with the
-    # SAME modulus — a mismatch silently strands walks at step 0)
+    # one materialized edge pass; width fixed BEFORE either tag map
+    # runs (both must hash with the SAME modulus — a mismatch silently
+    # strands walks at step 0)
     edges = edges.materialize()
     num_partitions = max(4, min(num_partitions,
                                 edges.count() // 200_000 + 4))
+    frontier = distinct_rows(
+        edges.map_batches(_start_walks(walks_per_node, True),
+                          batch_format="pyarrow"),
+        ["walk_id", "prev", "cur"], num_partitions=8,
+    ).repartition(8, shuffle=False).materialize()
+    out_parts = [frontier.map_batches(_emit(0), batch_format="pyarrow")]
+
+    def edge_marks(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "pk": pc.binary_join_element_wise(t["subj"], t["obj"], "\x00"),
+            "is_d1": pa.array([True] * t.num_rows, pa.bool_()),
+        })
+
+    edge_key_tbl = edges.map_batches(edge_marks, batch_format="pyarrow")
     tagged_edges = edges.map_batches(
-        tag_edge, batch_format="pyarrow"
+        _tag_edges, batch_format="pyarrow",
+        fn_kwargs={"num_partitions": num_partitions, "extra": ("prev",)},
     ).materialize()
 
-    for step in range(1, walk_len + 1):
-        def fanout(g: pa.Table) -> pa.Table:
-            is_edge = g["is_edge"]
-            if isinstance(is_edge, pa.ChunkedArray):
-                is_edge = is_edge.combine_chunks()
-            walks = g.filter(pc.invert(is_edge))
-            empty = pa.table(
-                {"walk_id": pa.array([], pa.string()),
-                 "prev": pa.array([], pa.string()),
-                 "cur": pa.array([], pa.string()),
-                 "nxt": pa.array([], pa.string())}
-            )
-            if walks.num_rows == 0:
-                return empty
-            eg = g.filter(is_edge)
-            wdf = pd.DataFrame(
-                {"walk_id": walks["walk_id"].to_pylist(),
-                 "prev": walks["prev"].to_pylist(),
-                 "cur": walks["key"].to_pylist()}
-            )
-            edf = pd.DataFrame(
-                {"cur": eg["key"].to_pylist(), "nxt": eg["obj"].to_pylist()}
-            )
-            m = wdf.merge(edf, on="cur", how="inner")
-            if not len(m):
-                return empty
-            return pa.table(
-                {
-                    "walk_id": pa.array(m["walk_id"].to_numpy(), pa.string()),
-                    "prev": pa.array(m["prev"].to_numpy(), pa.string()),
-                    "cur": pa.array(m["cur"].to_numpy(), pa.string()),
-                    "nxt": pa.array(m["nxt"].to_numpy(), pa.string()),
-                }
-            )
+    def fanout(g: pa.Table) -> pa.Table:
+        is_edge = g["is_edge"]
+        if isinstance(is_edge, pa.ChunkedArray):
+            is_edge = is_edge.combine_chunks()
+        walks = g.filter(pc.invert(is_edge))
+        eg = g.filter(is_edge)
+        # an all-null column can arrive as Arrow's null type, which
+        # the join rejects
+        return _strings(walk_id=walks["walk_id"], prev=walks["prev"],
+                        cur=walks["key"]).join(
+            _strings(cur=eg["key"], nxt=eg["obj"]),
+            keys="cur", join_type="inner")
 
+    def add_pk(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            "pk", pc.binary_join_element_wise(t["prev"], t["nxt"], "\x00"))
+
+    def tag_by_walk(t: pa.Table) -> pa.Table:
+        w = t["walk_id"]
+        if isinstance(w, pa.ChunkedArray):
+            w = w.combine_chunks()
+        return t.append_column("wpart", hash_bucket_array(w, num_partitions))
+
+    for step in range(1, walk_len + 1):
         cands = (
-            frontier.map_batches(tag_walk, batch_format="pyarrow")
+            frontier.map_batches(
+                _tag_walks, batch_format="pyarrow",
+                fn_kwargs={"num_partitions": num_partitions,
+                           "extra": ("prev",)},
+            )
             .union(tagged_edges)
             .groupby("part")
             .map_groups(fanout, batch_format="pyarrow")
         )
-
-        def add_pk(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "pk",
-                pc.binary_join_element_wise(t["prev"], t["nxt"], "\x00"),
-            )
-
         classified = hash_join_unique(
             cands.map_batches(add_pk, batch_format="pyarrow"),
             edge_key_tbl,
             left_key="pk", how="left", num_partitions=num_partitions,
         )
-
         step_seed = f"{seed}|{step}|"
 
         def pick(g: pd.DataFrame, _ss=step_seed) -> pd.DataFrame:
@@ -1017,14 +1018,6 @@ def biased_walks(triples, *, walks_per_node: int = 1, walk_len: int = 4,
                  "cur": sel["nxt"].to_numpy()}
             )
 
-        def tag_by_walk(t: pa.Table) -> pa.Table:
-            w = t["walk_id"]
-            if isinstance(w, pa.ChunkedArray):
-                w = w.combine_chunks()
-            return t.append_column(
-                "wpart", hash_bucket_array(w, num_partitions)
-            )
-
         frontier = (
             classified.map_batches(tag_by_walk, batch_format="pyarrow")
             .groupby("wpart")
@@ -1035,10 +1028,5 @@ def biased_walks(triples, *, walks_per_node: int = 1, walk_len: int = 4,
         if frontier.count() == 0:
             break
         out_parts.append(
-            frontier.map_batches(emit(step), batch_format="pyarrow")
-        )
-
-    out = out_parts[0]
-    for prt in out_parts[1:]:
-        out = out.union(prt)
-    return out
+            frontier.map_batches(_emit(step), batch_format="pyarrow"))
+    return _union(out_parts)

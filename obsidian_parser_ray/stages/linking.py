@@ -385,7 +385,7 @@ def child_of_batch(batch: pa.Table) -> pa.Table:
     §7.2: ``data/main`` → child_of → ``data``)."""
     import pyarrow.compute as pc
 
-    ids = _arr(batch["doc_id"])
+    ids = _arr(batch["doc_id"]).cast(pa.string())
     subj = ids.filter(pc.match_substring(ids, "/"))
     # parent = everything before the last '/' — Arrow regex kernel
     # (strip the final '/'+segment), no per-row Python

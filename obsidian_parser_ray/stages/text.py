@@ -120,7 +120,7 @@ def count_stopwords(text: str, lang: str = "en") -> int:
 
 
 def ascii_word_count(text: str) -> int:
-    """ASCII-whitespace word count (== the DuckDB oracle's RE2 \s+
+    r"""ASCII-whitespace word count (== the DuckDB oracle's RE2 \s+
     split with empties filtered)."""
     return sum(1 for _ in _ASCII_WORD.finditer(text))
 
@@ -817,7 +817,7 @@ def normalize_text(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
 def cooccurrence_counts(ds, *, text_col: str = "text", window: int = 4,
                         min_count: int = 2, num_partitions: int = 64):
-    """Word co-occurrence counts within a token window — the corpus
+    r"""Word co-occurrence counts within a token window — the corpus
     statistic under GloVe/PMI-style embedding training and collocation
     mining.  Output: ``(w1, w2, n_cooc)`` with ``w1 < w2``
     (unordered pairs, each in-window pair of positions counted once),

@@ -249,6 +249,40 @@ def test_streaming_build_equivalent_to_barrier_build(ray_session):
     assert triples(False) == triples(True)
 
 
+def test_int_keyed_doc_ids_build_both_shapes(ray_session):
+    """An int64 ``doc_id`` reads as its decimal string in the barrier
+    build (``ExtractNotes``) as it does in the streaming build."""
+    import ray.data as rd
+
+    from obsidian_parser_ray import build_graph
+    from obsidian_parser_ray.corpus import make_span, spans_table
+
+    rows = [
+        (str(i), [make_span("frontmatter", f"aliases: [al_{i}]", offset=0),
+                  make_span("text", f"see [[{(i + 1) % 12}]] and "
+                                    f"[[al_{(i + 5) % 12}]] #t{i % 3}",
+                            offset=1)])
+        for i in range(12)
+    ]
+    t = spans_table(rows)
+    t = t.set_column(0, "doc_id", t["doc_id"].cast(pa.int64()))
+    docs = rd.from_arrow(t).repartition(3)
+
+    def triples(materialize_notes):
+        g = build_graph(
+            docs, materialize_notes=materialize_notes, linker_concurrency=2,
+        )
+        return sorted(
+            tuple(sorted(r.items())) for r in g.triples.take_all()
+        )
+
+    barrier = triples(True)
+    assert barrier == triples(False)
+    links = {(r["subj"], r["obj"]) for r in map(dict, barrier)
+             if r["pred"] == "links_to"}
+    assert {("0", "1"), ("0", "5")} <= links
+
+
 def test_extract_notes_golden_edge_cases():
     """Edge rows through the batched extractor, with literal expected
     values: bad and null frontmatter, non-ASCII content in offset

@@ -1,4 +1,5 @@
-"""triangle_counts: exact parity vs brute force + normalization."""
+"""Graph operators: triangle counts, BFS, k-core and random walks,
+each pinned against brute force and across its execution paths."""
 
 from __future__ import annotations
 
@@ -7,6 +8,38 @@ import random
 
 import pyarrow as pa
 import pytest
+
+from obsidian_parser_ray.stages import graphops, joins
+
+
+def _unexpected(*args, **kwargs):
+    raise AssertionError("the broadcast guard picked another path")
+
+
+def _forbid(mp, *names):
+    for name in names:
+        mp.setattr(graphops, name, _unexpected)
+
+
+def _rows(ds):
+    return sorted(tuple(r.values()) for r in ds.take_all())
+
+
+def _count_executions(monkeypatch):
+    """List that grows by one per Dataset execution from here on."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    calls = []
+    real_execute = StreamingExecutor.execute
+
+    def counting(executor, *a, **kw):
+        calls.append(1)
+        return real_execute(executor, *a, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    return calls
 
 
 def _brute_force(edges: set[tuple[str, str]]) -> dict[str, int]:
@@ -129,7 +162,7 @@ class TestBfsHops:
 
     def test_local_and_distributed_paths_identical(self):
         # max_local_edges=0 forces the Dataset loop; default takes the
-        # local fast path — same (node, dist) map either way
+        # caller CSR — same (node, dist) map either way
         import numpy as np
 
         rng = np.random.RandomState(9)
@@ -142,6 +175,56 @@ class TestBfsHops:
         fwd_d = self._run(edges, ["n0"], directed=True, max_hops=3,
                           max_local_edges=0)
         assert fwd_l == fwd_d
+
+    def _both_paths(self, edges, sources, **kw):
+        """The caller-CSR run and the Dataset run of one query, each
+        failing if the other path is taken; returns their common map."""
+        out = []
+        for forced in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                if forced:
+                    _forbid(mp, "_bfs_csr")
+                    got = self._run(edges, sources, max_local_edges=0, **kw)
+                else:
+                    _forbid(mp, "_bfs_exchange")
+                    got = self._run(edges, sources, **kw)
+            out.append(got)
+        assert out[0] == out[1]
+        return out[0]
+
+    def test_source_absent_from_edges(self):
+        edges = [("a", "b"), ("b", "c")]
+        got = self._both_paths(edges, ["zz", "a"], directed=True)
+        assert got == {"zz": 0, "a": 0, "b": 1, "c": 2}
+        assert self._both_paths(edges, ["zz"]) == {"zz": 0}
+
+    def test_null_endpoints_are_no_edges(self):
+        import ray
+
+        from obsidian_parser_ray.stages.graphops import bfs_hops
+
+        t = pa.table({
+            "subj": pa.array(["a", "b", None, "c", "b"], pa.string()),
+            "pred": pa.array(["links_to"] * 5),
+            "obj": pa.array(["b", None, "c", "d", "e"], pa.string()),
+        })
+        want = {"a": 0, "b": 1, "e": 2}
+        for kw in ({}, {"max_local_edges": 0}):
+            out = bfs_hops(ray.data.from_arrow(t), ["a"], directed=True,
+                           num_partitions=8, **kw).take_all()
+            assert {r["node"]: r["dist"] for r in out} == want
+
+    def test_csr_output_keeps_blocks(self):
+        import ray
+
+        from obsidian_parser_ray.stages.graphops import bfs_hops
+
+        edges = [(f"v{i}", f"v{(i * 7 + 1) % 50}") for i in range(50)]
+        t = pa.table({"subj": [a for a, _ in edges],
+                      "pred": ["links_to"] * 50,
+                      "obj": [b for _, b in edges]})
+        out = bfs_hops(ray.data.from_arrow(t), ["v0"], num_partitions=8)
+        assert out.materialize().num_blocks() > 1
 
     def test_past_broadcast_guard_loop_identical(self, monkeypatch):
         # a broadcast guard no visited set fits sends every hop of the
@@ -329,20 +412,45 @@ class TestRandomWalks:
         assert (per_walk == 5).all()       # sink-free → full length
 
     def test_broadcast_and_shuffle_paths_identical(self):
-        # both step paths use the same per-(walk, neighbor, step)
-        # hash, so forcing either must emit byte-identical walks
+        # every path hashes the same (seed, step, walk, neighbor) key,
+        # so all three emit byte-identical walks; 5 frontier rows <
+        # a guard of 10 < 20 edge rows puts the map-side step between
+        # the caller CSR (default guard) and the co-partition exchange
         from obsidian_parser_ray.stages.graphops import random_walks
 
-        pairs = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "a"),
-                 ("c", "d"), ("d", "a"), ("b", "d"), ("d", "b")]
+        nodes = "abcde"
+        pairs = [(x, y) for x in nodes for y in nodes if x != y]
+        runs = [
+            (None, ("_walk_step_mapside", "_walk_step_shuffle")),
+            (10, ("_walks_csr", "_walk_step_shuffle")),
+            (-1, ("_walks_csr", "_walk_step_mapside")),
+        ]
         outs = []
-        for forced in (True, False):
-            out = random_walks(
-                self._edges(pairs), walks_per_node=2, walk_len=4,
-                num_partitions=4, broadcast_frontier=forced,
-            ).to_pandas()
-            outs.append(sorted(map(tuple, out.to_numpy())))
-        assert outs[0] == outs[1]
+        for guard, forbidden in runs:
+            with pytest.MonkeyPatch.context() as mp:
+                if guard is not None:
+                    mp.setattr(joins, "BROADCAST_MAX_ROWS", guard)
+                _forbid(mp, *forbidden)
+                outs.append(_rows(random_walks(
+                    self._edges(pairs), walks_per_node=1, walk_len=4,
+                    num_partitions=4)))
+        assert len(outs[0]) == 25
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_no_execution_on_materialized_input(self, monkeypatch):
+        from obsidian_parser_ray.stages.graphops import bfs_hops, random_walks
+
+        pairs = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]
+        mat = self._edges(pairs).materialize()
+        lazy = mat.map_batches(lambda t: t, batch_format="pyarrow")
+        for ds, want in ((mat, 0), (lazy, 1)):
+            for op in (lambda d: bfs_hops(d, ["a"]),
+                       lambda d: random_walks(d, walk_len=3)):
+                calls = _count_executions(monkeypatch)
+                out = op(ds)
+                assert len(calls) == want
+                assert out.count() > 0
+                monkeypatch.undo()
 
     def test_sink_terminates(self):
         from obsidian_parser_ray.stages.graphops import random_walks
@@ -415,6 +523,26 @@ class TestBiasedWalks:
                             q=0.5, num_partitions=4).to_pandas()
         assert sorted(map(tuple, out.to_numpy())) == \
             sorted(map(tuple, out2.to_numpy()))
+
+    def test_csr_and_loop_identical(self):
+        from obsidian_parser_ray.stages.graphops import biased_walks
+
+        pairs = [("a", "b"), ("b", "a"), ("b", "c"), ("c", "a"),
+                 ("c", "b"), ("a", "c"), ("c", "d"), ("d", "a"),
+                 ("", "a"), ("a", "")]
+        outs = []
+        for forced in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                if forced:
+                    mp.setattr(joins, "BROADCAST_MAX_ROWS", -1)
+                    _forbid(mp, "_walks_csr")
+                else:
+                    _forbid(mp, "_biased_walks_loop")
+                outs.append(_rows(biased_walks(
+                    self._edges(pairs), walks_per_node=4, walk_len=5,
+                    p=0.25, q=4.0, num_partitions=4)))
+        assert len(outs[0]) == 5 * 4 * 6
+        assert outs[0] == outs[1]
 
     def test_return_bias_direction(self):
         """tiny p makes returning to the previous node overwhelmingly
