@@ -2,8 +2,11 @@
 or shuffles on a hash bucket.
 
 One definition on purpose: these bits define on-disk bucket identity
-(adjacency layout) AND shuffle co-location (canonicalize, shuffle-join
-linking, dedup, sessionize), so all sites must agree forever.
+(adjacency layout, incremental base, digest index, session store) AND
+shuffle co-location (``stages.joins.exchange`` — and through it
+canonicalize, shuffle-join linking, graphops and dedup — plus the
+salted join exchanges and the modules not yet moved onto it), so all
+sites must agree forever.
 
 Every value is first canonicalized to a string (strings pass through;
 other scalars via ``repr``; nulls → a sentinel), then hashed with

@@ -15,6 +15,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages import joins
 from ..stages.canonicalize import degree_top_k
 from .components import (
     connected_components,
@@ -32,14 +33,13 @@ def analyzer_filter(batch: pa.Table) -> pa.Table:
     return batch.filter(pc.and_(pc.and_(ok, nonempty), not_todo))
 
 
-def analyze(docs, *, linker_concurrency=None,
-            max_local_nodes: int = 2_000_000) -> dict:
+def analyze(docs, *, linker_concurrency=None) -> dict:
     """documents Dataset → analyzer report dict.
 
     Aggregates are tiny (driver-side scalars); the heavy lifting stays
     in the distributed stages.  Components topology is SIZE-SELECTED
-    (the same auto-guard pattern as ``build_graph``'s link-topology
-    probe): when notes + link edges fit ``max_local_nodes``, the exact
+    by the broadcast guard: when notes + link edges fit
+    ``stages.joins.BROADCAST_MAX_ROWS`` (read at call time), the exact
     driver union-find runs (petgraph-parity regime, analyzer.rs:86-88);
     above it, the distributed pointer-jumping propagation takes over —
     both produce the identical min-id component labeling, so the
@@ -72,7 +72,7 @@ def analyze(docs, *, linker_concurrency=None,
     # ∪ edge endpoints); edge count over materialized triples is one
     # cheap vectorized filter pass, no re-execution
     n_edges = link_edges.count()
-    if n_notes + n_edges <= max_local_nodes:
+    if n_notes + n_edges <= joins.BROADCAST_MAX_ROWS:
         comp = connected_components_local(link_edges, g.notes)
         comp_count = len(set(comp.values()))
     else:

@@ -33,7 +33,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..hashing import hash_bucket_array
+from ..hashing import hash_bucket_array, hash_bucket_scalar
+from .joins import exchange, grouped_aggregate
 
 # 31-bit Mersenne prime: (a*x + b) products stay < 2^62, EXACT in
 # int64 — a 61-bit prime would silently wrap int64 multiplication and
@@ -107,10 +108,7 @@ def drop_exact_duplicates(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
     def add_hash(t: pa.Table) -> pa.Table:
         hashes = [h(x.encode("utf-8")) for x in t[text_col].to_pylist()]
-        t = t.append_column("content_hash", pa.array(hashes, pa.string()))
-        return t.append_column(
-            "part", hash_bucket_array(np.asarray(hashes, dtype=object), num_partitions)
-        )
+        return t.append_column("content_hash", pa.array(hashes, pa.string()))
 
     def first_per_hash(g: pd.DataFrame) -> pd.DataFrame:
         out = (
@@ -118,12 +116,11 @@ def drop_exact_duplicates(ds, *, text_col: str = "text", id_col: str = "doc_id",
             .groupby("content_hash", sort=False)
             .head(1)
         )
-        return out.drop(columns=["content_hash", "part"])
+        return out.drop(columns=["content_hash"])
 
-    return (
-        ds.map_batches(add_hash, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(first_per_hash, batch_format="pandas")
+    return exchange(
+        ds.map_batches(add_hash, batch_format="pyarrow"), ["content_hash"],
+        first_per_hash, num_partitions=num_partitions, batch_format="pandas",
     )
 
 
@@ -313,8 +310,8 @@ def minhash_lsh_pairs(
 
     1. actor-pool MinHash → per-doc row ``(doc_id, sig, band_hashes)``
        (fully streaming — consumed exactly once);
-    2. band explode → rows ``(part, band_id, band_hash, doc_id, sig)``
-       → bounded ``groupby(part)``: every band bucket holds its
+    2. band explode → rows ``(band_id, band_hash, doc_id, sig)`` →
+       one ``exchange`` on ``band_hash``: every band bucket holds its
        members' full signatures, so candidate fan-out AND the
        component-equality Jaccard estimate happen inside the bucket
        group — no verify join, no signature fetch;
@@ -395,7 +392,6 @@ def minhash_lsh_pairs(
                 "band_hash": flat,
                 "doc_id": pc.take(ids, parent),
                 "sig": pc.take(sig, parent),
-                "part": hash_bucket_array(flat, num_partitions),
             }
         )
 
@@ -479,12 +475,11 @@ def minhash_lsh_pairs(
              for c in out.column_names]
         ).select(["id_a", "id_b", "est_jaccard"])
 
-    pairs = (
-        docs.map_batches(explode_bands, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(bucket_verified_pairs, batch_format="pyarrow")
+    pairs = exchange(
+        docs.map_batches(explode_bands, batch_format="pyarrow"),
+        ["band_hash"], bucket_verified_pairs, num_partitions=num_partitions,
     )
-    return _dedup_pairs(pairs, empty, "est_jaccard", "max")
+    return _dedup_pairs(pairs, empty, [("est_jaccard", "max", "est_jaccard")])
 
 
 import re as _re
@@ -513,10 +508,10 @@ def ngram_jaccard_pairs(ds, *, text_col="text", id_col="doc_id",
     dict, no all-pairs scan):
 
     1. ``map_batches``: per doc, the DISTINCT word-``k``-shingle set →
-       exploded rows ``(part=hash(shingle), shingle, doc_id, n_sh)``
+       exploded rows ``(shingle, doc_id, n_sh)``
        (``n_sh`` = the doc's shingle-set size, denormalized onto every
        row so the final aggregate needs no extra join);
-    2. ``groupby(part)``: each shingle's full posting list is
+    2. ``exchange`` on ``shingle``: each shingle's full posting list is
        co-located; lists with df > ``max_df`` are DROPPED (stop-shingle
        guard — bounds pair fan-out at max_df² per shingle; a shingle
        that common carries no near-dup signal).  Surviving lists emit
@@ -531,8 +526,6 @@ def ngram_jaccard_pairs(ds, *, text_col="text", id_col="doc_id",
     end-to-end.  Output: (id_a, id_b, inter, union_n, jaccard),
     ``id_a < id_b``.
     """
-    import ray.data as rd
-
     id_t = _id_type(ds, id_col)
 
     def explode_shingles(t: pa.Table) -> pa.Table:
@@ -576,7 +569,6 @@ def ngram_jaccard_pairs(ds, *, text_col="text", id_col="doc_id",
             }))
         if not parts:
             return pa.table({
-                "part": pa.array([], pa.int32()),
                 "shingle": pa.array([], pa.string()),
                 id_col: pa.array([], id_t),
                 "n_sh": pa.array([], pa.int64()),
@@ -596,7 +588,6 @@ def ngram_jaccard_pairs(ds, *, text_col="text", id_col="doc_id",
             sh_arr = sh_arr.combine_chunks()
         return pa.table(
             {
-                "part": hash_bucket_array(sh_arr, num_partitions),
                 "shingle": sh_arr,
                 id_col: pc.take(ids, d["_d"]),
                 "n_sh": pa.array(
@@ -650,41 +641,10 @@ def ngram_jaccard_pairs(ds, *, text_col="text", id_col="doc_id",
         }
     )
 
-    partials = (
-        ds.map_batches(explode_shingles, batch_format="pyarrow", batch_size=512)
-        .groupby("part")
-        .map_groups(posting_pairs, batch_format="pandas")
-    ).materialize()
-    if partials.count() == 0:
-        return rd.from_arrow(empty)
-
-    # partitioned Arrow hash aggregate on the composite pair key —
-    # same replacement as _dedup_pairs (Ray's sort-based multi-key
-    # aggregate is the pathological tail on dup-heavy corpora)
-    import pyarrow.compute as _pc
-
-    from ..hashing import hash_bucket_array as _hba
-
-    def _add_part(t: pa.Table) -> pa.Table:
-        key = _pc.binary_join_element_wise(
-            _pc.cast(t["id_a"], pa.string()),
-            _pc.cast(t["id_b"], pa.string()),
-            "\x00",
-        )
-        return t.append_column("pp", _hba(key, num_partitions))
-
-    def _reduce(g: pa.Table) -> pa.Table:
-        out = g.drop_columns(["pp"]).group_by(["id_a", "id_b"]).aggregate(
-            [("_n", "sum"), ("n_a", "min"), ("n_b", "min")]
-        )
-        return out.select(
-            ["id_a", "id_b", "_n_sum", "n_a_min", "n_b_min"]
-        ).rename_columns(["id_a", "id_b", "inter", "n_a", "n_b"])
-
-    agg = (
-        partials.map_batches(_add_part, batch_format="pyarrow")
-        .groupby("pp")
-        .map_groups(_reduce, batch_format="pyarrow")
+    partials = exchange(
+        ds.map_batches(explode_shingles, batch_format="pyarrow", batch_size=512),
+        ["shingle"], posting_pairs, num_partitions=num_partitions,
+        batch_format="pandas",
     )
 
     def finish(t: pa.Table) -> pa.Table:
@@ -704,7 +664,11 @@ def ngram_jaccard_pairs(ds, *, text_col="text", id_col="doc_id",
             }
         )
 
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return _dedup_pairs(
+        partials, empty,
+        [("_n", "sum", "inter"), ("n_a", "min", "n_a"), ("n_b", "min", "n_b")],
+        finish=finish, num_partitions=num_partitions,
+    )
 
 
 def word_ngrams_exact(text: str, n: int) -> set[str]:
@@ -755,7 +719,6 @@ def ngram_contamination(docs, benchmark, *, text_col: str = "text",
 
             empty = pa.table(
                 {
-                    "part": pa.array([], pa.int32()),
                     "gram": pa.array([], pa.string()),
                     id_col: pa.array([], id_t),
                     "is_bench": pa.array([], pa.bool_()),
@@ -797,7 +760,6 @@ def ngram_contamination(docs, benchmark, *, text_col: str = "text",
                 g_arr = g_arr.combine_chunks()
             return pa.table(
                 {
-                    "part": hash_bucket_array(g_arr, num_partitions),
                     "gram": g_arr,
                     id_col: out_ids,
                     "is_bench": pa.array(
@@ -836,8 +798,8 @@ def ngram_contamination(docs, benchmark, *, text_col: str = "text",
             ["n_hits" if c == "n_hits_sum" else c for c in out.column_names]
         ).select([id_col, "n_hits"])
 
-    partials = tagged.groupby("part").map_groups(
-        count_hits, batch_format="pyarrow"
+    partials = exchange(
+        tagged, ["gram"], count_hits, num_partitions=num_partitions
     ).materialize()
     if partials.count() == 0:
         return rd.from_arrow(
@@ -929,56 +891,30 @@ def _empty_pairs(id_t: pa.DataType, value_col: str, value_type) -> pa.Table:
     )
 
 
-def _dedup_pairs(pairs, seed: pa.Table, value_col: str, agg_fn: str,
-                 num_partitions: int = 64):
-    """Global (id_a, id_b) dedup with an empty-result guard.
+def _dedup_pairs(pairs, seed: pa.Table, aggs: list[tuple], *,
+                 finish=None, num_partitions: int = 64):
+    """Global (id_a, id_b) :func:`..stages.joins.grouped_aggregate`
+    (``aggs`` as there), then the optional ``finish`` batch fn, with an
+    empty-result guard.
 
     Candidate pairs are orders of magnitude smaller than the corpus, so
     materializing them before the dedup exchange is cheap and lets us
-    short-circuit the empty case (Ray's groupby-aggregate loses the
-    schema entirely when its input has zero rows, which breaks
-    ``to_pandas`` downstream).
-
-    The dedup itself hash-partitions on the composite pair key and
-    runs ONE Arrow ``group_by`` per partition — the repo's standard
-    shape.  (It replaced ``Dataset.groupby(["id_a","id_b"])``: Ray's
-    sort-based two-key aggregate measured ~300 s CPU for a 3M-row
-    pair table at sf1 — 14 of doc_minhash's 19 s wall — vs ~1 s for
-    the partitioned Arrow hash aggregate, bit-identical output.)"""
-    import pyarrow.compute as pc
+    short-circuit the empty case to ``seed`` (a zero-row input leaves
+    the exchange's output without a schema, which breaks ``to_pandas``
+    downstream).  (It replaced ``Dataset.groupby(["id_a","id_b"])``:
+    Ray's sort-based two-key aggregate measured ~300 s CPU for a
+    3M-row pair table at sf1 — 14 of doc_minhash's 19 s wall — vs ~1 s
+    for the partitioned Arrow hash aggregate, bit-identical output.)"""
     import ray.data as rd
-
-    from ..hashing import hash_bucket_array
 
     pairs = pairs.materialize()
     if pairs.count() == 0:
         return rd.from_arrow(seed)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        # NUL-joined composite key via Arrow (never pandas str concat —
-        # see the r3 NUL-truncation gotcha)
-        key = pc.binary_join_element_wise(
-            pc.cast(t["id_a"], pa.string()),
-            pc.cast(t["id_b"], pa.string()),
-            "\x00",
-        )
-        return t.append_column(
-            "part", hash_bucket_array(key, num_partitions)
-        )
-
-    def reduce(g: pa.Table) -> pa.Table:
-        out = g.drop_columns(["part"]).group_by(
-            ["id_a", "id_b"]
-        ).aggregate([(value_col, agg_fn)])
-        return out.select(
-            ["id_a", "id_b", f"{value_col}_{agg_fn}"]
-        ).rename_columns(["id_a", "id_b", value_col])
-
-    return (
-        pairs.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(reduce, batch_format="pyarrow")
-    )
+    out = grouped_aggregate(pairs, ["id_a", "id_b"], aggs,
+                            num_partitions=num_partitions)
+    if finish is None:
+        return out
+    return out.map_batches(finish, batch_format="pyarrow")
 
 
 def hash64_neardup_pairs(ds, *, hash_col: str, id_col="doc_id",
@@ -1022,7 +958,6 @@ def hash64_neardup_pairs(ds, *, hash_col: str, id_col="doc_id",
                 id_col: ids,
                 "block_key": pa.array(key.astype(np.int32), pa.int32()),
                 "simhash": pa.array(hr.view(np.int64), pa.int64()),
-                "part": hash_bucket_array(key, num_partitions),
             }
         )
 
@@ -1051,13 +986,14 @@ def hash64_neardup_pairs(ds, *, hash_col: str, id_col="doc_id",
             }
         )
 
-    pairs = (
-        ds.map_batches(add_blocks, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("part")
-        .map_groups(bucket_pairs, batch_format="pandas")
+    pairs = exchange(
+        ds.map_batches(add_blocks, batch_format="pyarrow", batch_size=batch_size),
+        ["block_key"], bucket_pairs, num_partitions=num_partitions,
+        batch_format="pandas",
     )
     return _dedup_pairs(
-        pairs, _empty_pairs(id_t, "hamming", pa.int64()), "hamming", "min"
+        pairs, _empty_pairs(id_t, "hamming", pa.int64()),
+        [("hamming", "min", "hamming")],
     )
 
 
@@ -1117,7 +1053,6 @@ def embedding_neardup_pairs(ds, *, vec_col="embedding", id_col="vec_id",
                 {
                     id_col: pa.array([], id_t),
                     "bucket": pa.array([], pa.int64()),
-                    "part": pa.array([], pa.int32()),
                     vec_col: t[vec_col],
                 }
             )
@@ -1143,7 +1078,6 @@ def embedding_neardup_pairs(ds, *, vec_col="embedding", id_col="vec_id",
             {
                 id_col: pc.take(ids, rep),
                 "bucket": pa.array(keys, pa.int64()),
-                "part": hash_bucket_array(keys, num_partitions),
                 vec_col: pc.take(
                     t[vec_col].combine_chunks()
                     if isinstance(t[vec_col], pa.ChunkedArray)
@@ -1179,13 +1113,14 @@ def embedding_neardup_pairs(ds, *, vec_col="embedding", id_col="vec_id",
             }
         )
 
-    pairs = (
-        ds.map_batches(bucketize, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("part")
-        .map_groups(bucket_pairs, batch_format="pandas")
+    pairs = exchange(
+        ds.map_batches(bucketize, batch_format="pyarrow", batch_size=batch_size),
+        ["bucket"], bucket_pairs, num_partitions=num_partitions,
+        batch_format="pandas",
     )
     return _dedup_pairs(
-        pairs, _empty_pairs(id_t, "cosine", pa.float64()), "cosine", "max"
+        pairs, _empty_pairs(id_t, "cosine", pa.float64()),
+        [("cosine", "max", "cosine")],
     )
 
 
@@ -1381,8 +1316,8 @@ def remove_repeated_ngrams(ds, *, n: int = 20, min_docs: int = 2,
 
     Dataflow (both shuffles bounded, nothing driver-side):
 
-    1. gram explode → ``(part=hash(gram), gram_hash, id, pos)`` →
-       ``groupby(part)``: every row of a gram co-locates, so the
+    1. gram explode → ``(gram_hash, id, pos)`` → ``exchange`` on
+       ``gram_hash``: every row of a gram co-locates, so the
        distinct-doc count and the ``≥ min_docs`` filter happen inside
        the partition → hit rows ``(id, pos)`` only;
     2. hits ∪ docs co-partitioned on the id → per-doc numpy interval
@@ -1408,7 +1343,6 @@ def remove_repeated_ngrams(ds, *, n: int = 20, min_docs: int = 2,
 
         empty = pa.table(
             {
-                "part": pa.array([], pa.int32()),
                 "gram_hash": pa.array([], pa.int64()),
                 id_col: pa.array([], id_t),
                 "pos": pa.array([], pa.int32()),
@@ -1440,11 +1374,6 @@ def remove_repeated_ngrams(ds, *, n: int = 20, min_docs: int = 2,
         hh = acc[valid].astype(np.int64)
         return pa.table(
             {
-                "part": pa.array(
-                    (hh.view(np.uint64) % np.uint64(num_partitions)).astype(
-                        np.int32
-                    )
-                ),
                 "gram_hash": pa.array(hh),
                 id_col: pc.take(ids, pa.array(gdoc)),
                 "pos": pa.array(pos),
@@ -1466,10 +1395,9 @@ def remove_repeated_ngrams(ds, *, n: int = 20, min_docs: int = 2,
         kept = g.filter(keep)
         return kept.select([id_col, "pos"])
 
-    hits = (
-        ds.map_batches(gram_rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(dup_hits, batch_format="pyarrow")
+    hits = exchange(
+        ds.map_batches(gram_rows, batch_format="pyarrow"), ["gram_hash"],
+        dup_hits, num_partitions=num_partitions,
     )
 
     # stage 2: co-partition hits with the doc rows on the id
@@ -1480,7 +1408,6 @@ def remove_repeated_ngrams(ds, *, n: int = 20, min_docs: int = 2,
         m = len(ids)
         return pa.table(
             {
-                "part": hash_bucket_array(ids, num_partitions),
                 "is_hit": pa.array([False] * m, pa.bool_()),
                 id_col: ids,
                 "text": t[text_col],
@@ -1495,7 +1422,6 @@ def remove_repeated_ngrams(ds, *, n: int = 20, min_docs: int = 2,
         m = len(ids)
         return pa.table(
             {
-                "part": hash_bucket_array(ids, num_partitions),
                 "is_hit": pa.array([True] * m, pa.bool_()),
                 id_col: ids,
                 "text": pa.nulls(m, pa.string()),
@@ -1567,7 +1493,7 @@ def remove_repeated_ngrams(ds, *, n: int = 20, min_docs: int = 2,
             schema=out_schema,
         )
 
-    return tagged.groupby("part").map_groups(rewrite, batch_format="pyarrow")
+    return exchange(tagged, [id_col], rewrite, num_partitions=num_partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -1637,17 +1563,14 @@ def dedup_against_index(ds, index_dir: str, *, text_col: str = "text",
 
     def add_hash(t: pa.Table) -> pa.Table:
         hashes = [h(x.encode("utf-8")) for x in t[text_col].to_pylist()]
-        t = t.append_column("content_hash", pa.array(hashes, pa.string()))
-        return t.append_column(
-            "part",
-            hash_bucket_array(np.asarray(hashes, dtype=object),
-                              num_partitions),
-        )
+        return t.append_column("content_hash", pa.array(hashes, pa.string()))
 
     def admit(g: pd.DataFrame) -> pd.DataFrame:
         import pyarrow.parquet as pq
 
-        b = int(g["part"].iloc[0])
+        # exchange partitions one key column by its hash bucket, so
+        # every digest of this group lives in the index bucket ``b``
+        b = hash_bucket_scalar(g["content_hash"].iloc[0], num_partitions)
         bdir = os.path.join(index_dir, f"db={b}")
         seen: set = set()
         if os.path.isdir(bdir):
@@ -1666,17 +1589,15 @@ def dedup_against_index(ds, index_dir: str, *, text_col: str = "text",
                     )
         fresh = g[~g["content_hash"].isin(seen)]
         # min-id keeper within the incoming batch
-        fresh = (
+        return (
             fresh.sort_values(id_col, kind="stable")
             .groupby("content_hash", sort=False)
             .head(1)
         )
-        return fresh.drop(columns=["part"])
 
-    kept = (
-        ds.map_batches(add_hash, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(admit, batch_format="pandas")
+    kept = exchange(
+        ds.map_batches(add_hash, batch_format="pyarrow"), ["content_hash"],
+        admit, num_partitions=num_partitions, batch_format="pandas",
     ).materialize()  # pin: consumed by the caller AND the append below
 
     def drop_hash(t: pa.Table) -> pa.Table:
@@ -1959,7 +1880,7 @@ def dedup_lines(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
     1. line explode (one Arrow ``split_pattern`` per block; only
        participating lines leave the map) →
-       ``groupby(part=hash(line))``: all occurrences of a line
+       ``exchange`` on the line: all occurrences of a line
        co-locate, so one partition-local sort by
        ``(line, doc_id, line_no)`` + adjacent-run mask finds the
        winners — losers ``(id, line_no)`` are the only rows emitted;
@@ -2002,7 +1923,6 @@ def dedup_lines(ds, *, text_col: str = "text", id_col: str = "doc_id",
         flat_kept = flat.filter(keep)
         return pa.table(
             {
-                "part": hash_bucket_array(flat_kept, num_partitions),
                 "line": flat_kept,
                 id_col: pc.take(ids, pa.array(doc_of[part_mask])),
                 "line_no": pa.array(pos[part_mask]),
@@ -2042,10 +1962,9 @@ def dedup_lines(ds, *, text_col: str = "text", id_col: str = "doc_id",
              "line_no": s["line_no"].filter(lose)}
         )
 
-    removals = (
-        ds.map_batches(line_rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(losers, batch_format="pyarrow")
+    removals = exchange(
+        ds.map_batches(line_rows, batch_format="pyarrow"), ["line"], losers,
+        num_partitions=num_partitions,
     )
 
     def doc_rows(t: pa.Table) -> pa.Table:
@@ -2055,7 +1974,6 @@ def dedup_lines(ds, *, text_col: str = "text", id_col: str = "doc_id",
         m = len(ids)
         return pa.table(
             {
-                "part": hash_bucket_array(ids, num_partitions),
                 "is_hit": pa.array([False] * m, pa.bool_()),
                 id_col: ids,
                 "text": t[text_col],
@@ -2070,7 +1988,6 @@ def dedup_lines(ds, *, text_col: str = "text", id_col: str = "doc_id",
         m = len(ids)
         return pa.table(
             {
-                "part": hash_bucket_array(ids, num_partitions),
                 "is_hit": pa.array([True] * m, pa.bool_()),
                 id_col: ids,
                 "text": pa.nulls(m, pa.string()),
@@ -2135,4 +2052,4 @@ def dedup_lines(ds, *, text_col: str = "text", id_col: str = "doc_id",
             schema=out_schema,
         )
 
-    return tagged.groupby("part").map_groups(rewrite, batch_format="pyarrow")
+    return exchange(tagged, [id_col], rewrite, num_partitions=num_partitions)

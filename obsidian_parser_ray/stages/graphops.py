@@ -19,9 +19,7 @@ on the undirected graph induced by the triples (all predicates, self
 loops dropped).  The classic degree-orientation algorithm, expressed
 as Ray Data shuffles:
 
-1. distinct undirected edge set (two-phase distinct, same shape as
-   canonicalize: per-block partial → hash-partition → per-partition
-   collapse),
+1. distinct undirected edge set (:func:`..stages.joins.distinct_rows`),
 2. degree per node (partial counts → small groupby),
 3. orient every edge from its lower-(degree, node) endpoint to the
    higher one (two broadcast-free hash joins of the unique degree
@@ -46,38 +44,23 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..hashing import hash64_array, hash_bucket_array
-
-_SEP = "\x00"
-
-
-def _edge_key(a, b):
-    return pc.binary_join_element_wise(a, b, _SEP)
+from ..hashing import hash64_array
+from .joins import distinct_rows, exchange
 
 
 def undirected_edges(triples, *, num_partitions: int = 64):
     """Distinct undirected edge set ``(a, b)`` with ``a < b`` from the
     canonical triples (all predicates, self loops dropped)."""
 
-    def partial(t: pa.Table) -> pa.Table:
+    def ends(t: pa.Table) -> pa.Table:
         s, o = t["subj"], t["obj"]
         a = pc.min_element_wise(s, o)
         b = pc.max_element_wise(s, o)
-        keep = pc.not_equal(s, o)
-        out = pa.table({"a": a, "b": b}).filter(keep)
-        out = out.group_by(["a", "b"]).aggregate([])
-        return out.append_column(
-            "part", hash_bucket_array(_edge_key(out["a"], out["b"]),
-                                      num_partitions)
-        )
+        return pa.table({"a": a, "b": b}).filter(pc.not_equal(s, o))
 
-    def collapse(t: pa.Table) -> pa.Table:
-        return t.drop_columns(["part"]).group_by(["a", "b"]).aggregate([])
-
-    return (
-        triples.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(collapse, batch_format="pyarrow")
+    return distinct_rows(
+        triples.map_batches(ends, batch_format="pyarrow"), ["a", "b"],
+        num_partitions=num_partitions,
     )
 
 
@@ -159,11 +142,6 @@ def triangle_counts(triples, *, num_partitions: int = 64):
     # consumed twice (wedge source + closing edge set)
     oriented = e.map_batches(orient, batch_format="pyarrow").materialize()
 
-    def add_upart(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", hash_bucket_array(t["u"], num_partitions)
-        )
-
     def wedges(t: pa.Table) -> pa.Table:
         # out-neighbors of u sorted by the SAME (deg, node) total
         # order used for orientation, so each emitted pair (v, w) is
@@ -208,17 +186,16 @@ def triangle_counts(triples, *, num_partitions: int = 64):
             "w": v.take(idx_r),
         })
 
-    wedge_ds = (
-        oriented.map_batches(add_upart, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(wedges, batch_format="pyarrow")
-    )
+    wedge_ds = exchange(oriented, ["u"], wedges,
+                        num_partitions=num_partitions)
 
     def wedge_key(t: pa.Table) -> pa.Table:
-        return t.append_column("_ek", _edge_key(t["v"], t["w"]))
+        return t.append_column(
+            "_ek", pc.binary_join_element_wise(t["v"], t["w"], "\x00"))
 
     def oedge_key(t: pa.Table) -> pa.Table:
-        return pa.table({"_ek": _edge_key(t["u"], t["v"])})
+        return pa.table(
+            {"_ek": pc.binary_join_element_wise(t["u"], t["v"], "\x00")})
 
     triangles = broadcast_join_unique(
         wedge_ds.map_batches(wedge_key, batch_format="pyarrow"),
@@ -355,10 +332,7 @@ def _bfs_exchange(e, start_nodes, *, directed, max_hops, num_partitions):
         def probe(t: pa.Table, _f=f_ref) -> pa.Table:
             f = ray.get(_f)
             keep = pc.is_valid(pc.index_in(t["a"], f))
-            heads = pc.unique(t.filter(keep)["b"])
-            out = pa.table({"node": heads})
-            return out.append_column(
-                "part", hash_bucket_array(heads, num_partitions))
+            return pa.table({"node": pc.unique(t.filter(keep)["b"])})
 
         def reduce(g: pa.Table, _v=v_ref) -> pa.Table:
             nodes = g["node"]
@@ -372,9 +346,8 @@ def _bfs_exchange(e, start_nodes, *, directed, max_hops, num_partitions):
 
         new_tbl = pa.concat_tables(
             list(
-                edges.map_batches(probe, batch_format="pyarrow")
-                .groupby("part")
-                .map_groups(reduce, batch_format="pyarrow")
+                exchange(edges.map_batches(probe, batch_format="pyarrow"),
+                         ["node"], reduce, num_partitions=num_partitions)
                 .iter_batches(batch_format="pyarrow")
             )
             or [pa.table({"node": pa.array([], pa.string())})]
@@ -412,16 +385,7 @@ def _bfs_join_loop(edges, visited_tbl, frontier_nodes, first_hop,
     ).materialize()
 
     def heads(t: pa.Table) -> pa.Table:
-        out = pa.table({"node": t["b"]})
-        return out.group_by(["node"]).aggregate([])
-
-    def addp(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", hash_bucket_array(t["node"], num_partitions))
-
-    def collapse(t: pa.Table) -> pa.Table:
-        return (t.drop_columns(["part"])
-                .group_by(["node"]).aggregate([]))
+        return pa.table({"node": t["b"]})
 
     for d in range(first_hop, max_hops + 1):
         # heads of edges leaving the frontier, deduped per partition,
@@ -431,10 +395,9 @@ def _bfs_join_loop(edges, visited_tbl, frontier_nodes, first_hop,
             left_key="a", right_key="node", how="semi",
             num_partitions=num_partitions,
         )
-        cand = (reached.map_batches(heads, batch_format="pyarrow")
-                .map_batches(addp, batch_format="pyarrow")
-                .groupby("part")
-                .map_groups(collapse, batch_format="pyarrow"))
+        cand = distinct_rows(
+            reached.map_batches(heads, batch_format="pyarrow"), ["node"],
+            num_partitions=num_partitions)
         new = broadcast_join_unique(
             cand, visited.select_columns(["node"]),
             left_key="node", how="anti", num_partitions=num_partitions,
@@ -735,15 +698,10 @@ def random_walks(triples, *, walks_per_node: int = 1, walk_len: int = 4,
                           num_partitions=num_partitions)
 
     from . import joins
-    from .joins import distinct_rows
 
     # one materialized pass over the edge lineage feeds the start
     # frontier, the width probe, and the per-step tables alike
     edges = edges.materialize()
-    # exchange width fixed BEFORE any tag map runs: walks and edges
-    # co-locate only because both hash with the SAME modulus (a
-    # mismatch silently strands walks at step 0: they "stop", which
-    # the sink-node semantics make look legal)
     num_partitions = max(4, min(num_partitions,
                                 edges.count() // 200_000 + 4))
     # distinct start rows (subjects repeat across blocks) — the
@@ -766,9 +724,7 @@ def random_walks(triples, *, walks_per_node: int = 1, walk_len: int = 4,
         else:
             if not tagged:
                 tagged.append(edges.map_batches(
-                    _tag_edges, batch_format="pyarrow",
-                    fn_kwargs={"num_partitions": num_partitions},
-                ).materialize())
+                    _tag_edges, batch_format="pyarrow").materialize())
             frontier = _walk_step_shuffle(frontier, tagged[0], step_seed,
                                           num_partitions)
         if frontier.count() == 0:
@@ -802,34 +758,23 @@ def _walk_step_mapside(frontier, edges, step_seed, n_frontier,
 
     cmb = max(4, min(num_partitions, n_frontier // 500_000 + 4))
 
-    def addp(t: pa.Table) -> pa.Table:
-        return t.append_column("part", hash_bucket_array(t["walk_id"], cmb))
-
     def pick_global(g: pa.Table) -> pa.Table:
-        return _first_per_walk(g.drop_columns(["part"])).select(
-            ["walk_id", "cur"])
+        return _first_per_walk(g).select(["walk_id", "cur"])
 
     return (
-        edges.map_batches(local_pick, batch_format="pyarrow")
-        .map_batches(addp, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pick_global, batch_format="pyarrow")
+        exchange(edges.map_batches(local_pick, batch_format="pyarrow"),
+                 ["walk_id"], pick_global, num_partitions=cmb)
         .repartition(cmb, shuffle=False)
         .materialize()
     )
 
 
-def _tag_edges(t: pa.Table, *, num_partitions: int,
-               extra=()) -> pa.Table:
+def _tag_edges(t: pa.Table, *, extra=()) -> pa.Table:
     """Edge rows of a co-partition exchange, keyed on ``subj``."""
-    subj = t["subj"]
-    if isinstance(subj, pa.ChunkedArray):
-        subj = subj.combine_chunks()
     n = t.num_rows
     cols = {
-        "part": hash_bucket_array(subj, num_partitions),
         "is_edge": pa.array([True] * n, pa.bool_()),
-        "key": subj,
+        "key": t["subj"],
         "walk_id": pa.nulls(n, pa.string()),
     }
     cols.update((c, pa.nulls(n, pa.string())) for c in extra)
@@ -837,17 +782,12 @@ def _tag_edges(t: pa.Table, *, num_partitions: int,
     return pa.table(cols)
 
 
-def _tag_walks(t: pa.Table, *, num_partitions: int,
-               extra=()) -> pa.Table:
+def _tag_walks(t: pa.Table, *, extra=()) -> pa.Table:
     """Walk rows of a co-partition exchange, keyed on ``cur``."""
-    cur = t["cur"]
-    if isinstance(cur, pa.ChunkedArray):
-        cur = cur.combine_chunks()
     n = t.num_rows
     cols = {
-        "part": hash_bucket_array(cur, num_partitions),
         "is_edge": pa.array([False] * n, pa.bool_()),
-        "key": cur,
+        "key": t["cur"],
         "walk_id": t["walk_id"],
     }
     cols.update((c, t[c]) for c in extra)
@@ -871,11 +811,11 @@ def _walk_step_shuffle(frontier, tagged_edges, step_seed, num_partitions):
         )
 
     return (
-        frontier.map_batches(_tag_walks, batch_format="pyarrow",
-                             fn_kwargs={"num_partitions": num_partitions})
-        .union(tagged_edges)
-        .groupby("part")
-        .map_groups(hop, batch_format="pyarrow")
+        exchange(
+            frontier.map_batches(_tag_walks, batch_format="pyarrow")
+            .union(tagged_edges),
+            ["key"], hop, num_partitions=num_partitions,
+        )
         .repartition(num_partitions, shuffle=False)
         .materialize()
     )
@@ -929,11 +869,9 @@ def _biased_walks_loop(edges, *, walks_per_node, walk_len, p, q, seed,
     ``hash_join_unique(how="left")``."""
     import pandas as pd
 
-    from .joins import distinct_rows, hash_join_unique
+    from .joins import hash_join_unique
 
-    # one materialized edge pass; width fixed BEFORE either tag map
-    # runs (both must hash with the SAME modulus — a mismatch silently
-    # strands walks at step 0)
+    # one materialized edge pass feeds the width probe and both tables
     edges = edges.materialize()
     num_partitions = max(4, min(num_partitions,
                                 edges.count() // 200_000 + 4))
@@ -952,8 +890,7 @@ def _biased_walks_loop(edges, *, walks_per_node, walk_len, p, q, seed,
 
     edge_key_tbl = edges.map_batches(edge_marks, batch_format="pyarrow")
     tagged_edges = edges.map_batches(
-        _tag_edges, batch_format="pyarrow",
-        fn_kwargs={"num_partitions": num_partitions, "extra": ("prev",)},
+        _tag_edges, batch_format="pyarrow", fn_kwargs={"extra": ("prev",)},
     ).materialize()
 
     def fanout(g: pa.Table) -> pa.Table:
@@ -973,22 +910,12 @@ def _biased_walks_loop(edges, *, walks_per_node, walk_len, p, q, seed,
         return t.append_column(
             "pk", pc.binary_join_element_wise(t["prev"], t["nxt"], "\x00"))
 
-    def tag_by_walk(t: pa.Table) -> pa.Table:
-        w = t["walk_id"]
-        if isinstance(w, pa.ChunkedArray):
-            w = w.combine_chunks()
-        return t.append_column("wpart", hash_bucket_array(w, num_partitions))
-
     for step in range(1, walk_len + 1):
-        cands = (
-            frontier.map_batches(
-                _tag_walks, batch_format="pyarrow",
-                fn_kwargs={"num_partitions": num_partitions,
-                           "extra": ("prev",)},
-            )
-            .union(tagged_edges)
-            .groupby("part")
-            .map_groups(fanout, batch_format="pyarrow")
+        cands = exchange(
+            frontier.map_batches(_tag_walks, batch_format="pyarrow",
+                                 fn_kwargs={"extra": ("prev",)})
+            .union(tagged_edges),
+            ["key"], fanout, num_partitions=num_partitions,
         )
         classified = hash_join_unique(
             cands.map_batches(add_pk, batch_format="pyarrow"),
@@ -1019,9 +946,8 @@ def _biased_walks_loop(edges, *, walks_per_node, walk_len, p, q, seed,
             )
 
         frontier = (
-            classified.map_batches(tag_by_walk, batch_format="pyarrow")
-            .groupby("wpart")
-            .map_groups(pick, batch_format="pandas")
+            exchange(classified, ["walk_id"], pick,
+                     num_partitions=num_partitions, batch_format="pandas")
             .repartition(num_partitions, shuffle=False)
             .materialize()
         )

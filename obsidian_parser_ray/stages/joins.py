@@ -886,61 +886,77 @@ def broadcast_join(left, right, *, left_key: str,
     )
 
 
-def distinct_rows(ds, cols: list[str], *, num_partitions: int = 64):
-    """Global DISTINCT over a column tuple, fully partitioned.
+def exchange(ds, keys: list[str], reduce, *, num_partitions: int = 64,
+             batch_format: str = "pyarrow"):
+    """The keyed hash exchange: every row whose ``keys`` agree reaches
+    the same ``reduce`` call (one call per non-empty partition), and
+    ``reduce`` sees the input columns only.
 
-    Per-block Arrow distinct (bounds the exchange at block-distinct
-    rows) → hash-partition on the NUL-joined composite key → one Arrow
-    ``group_by`` per partition.  Replaces
-    ``Dataset.groupby([c1, c2, ...]).aggregate(Count())`` for
-    distinct-tuple derivation: Ray's multi-key aggregate sorts the
-    whole exchange on the composite key (measured ~300 s CPU on a
-    3M-row pair table — the doc_minhash sf1 tail before r5), while
-    this shape is a single int-keyed shuffle with C-speed hash
-    reduces.  The composite key is joined with NUL via Arrow — never
-    pandas string concat (the r3 NUL-truncation gotcha).
+    The partition id is :func:`..hashing.hash_bucket_array` of the key:
+    one key column is hashed as is, composite keys are cast to string
+    and NUL-joined via Arrow ``binary_join_element_wise`` (never pandas
+    string concat, which drops the NUL).  Two distinct composite keys
+    may share a joined string — ``("a\\x00b", "c")`` and
+    ``("a", "b\\x00c")``, or any key with a null part — and then share
+    a partition, so ``reduce`` groups on the key columns themselves.
+    The exchange is a sort ``groupby`` on the int id: an int-keyed sort
+    stays cheap where Ray's multi-key aggregate sorts strings.
+
+    Shapes kept off it: the salted join exchanges (a salt slot widens
+    the id), range buckets (``resident_edges``), int ``pk % n``
+    partitions (``text.cooccurrence_counts``), and persisted bucket
+    layouts, whose ids are an on-disk contract.
     """
     from ..hashing import hash_bucket_array
 
-    def local(t: pa.Table) -> pa.Table:
-        g = t.select(list(cols)).group_by(list(cols)).aggregate([])
-        key = pc.binary_join_element_wise(
-            *[pc.cast(g[c], pa.string()) for c in cols], "\x00"
-        ) if len(cols) > 1 else pc.cast(g[cols[0]], pa.string())
-        return g.append_column(
-            "_dpart", hash_bucket_array(key, num_partitions)
-        )
+    keys = list(keys)
 
-    def reduce(g: pa.Table) -> pa.Table:
-        return g.drop_columns(["_dpart"]).group_by(
-            list(cols)
-        ).aggregate([]).select(list(cols))
+    def tag(t: pa.Table) -> pa.Table:
+        key = t[keys[0]] if len(keys) == 1 else pc.binary_join_element_wise(
+            *[pc.cast(t[c], pa.string()) for c in keys], "\x00"
+        )
+        return t.append_column("_xpart", hash_bucket_array(key, num_partitions))
+
+    if batch_format == "pandas":
+        def run(g):
+            return reduce(g.drop(columns=["_xpart"]))
+    else:
+        def run(g):
+            return reduce(g.drop_columns(["_xpart"]))
 
     return (
-        ds.map_batches(local, batch_format="pyarrow")
-        .groupby("_dpart")
-        .map_groups(reduce, batch_format="pyarrow")
+        ds.map_batches(tag, batch_format="pyarrow")
+        .groupby("_xpart")
+        .map_groups(run, batch_format=batch_format)
     )
+
+
+def distinct_rows(ds, cols: list[str], *, num_partitions: int = 64):
+    """Global DISTINCT over a column tuple: :func:`grouped_aggregate`
+    with no aggregates.  Replaces
+    ``Dataset.groupby([c1, c2, ...]).aggregate(Count())`` for
+    distinct-tuple derivation: Ray's multi-key aggregate sorts the
+    whole exchange on the composite key (measured ~300 s CPU on a
+    3M-row pair table — the doc_minhash sf1 tail before r5)."""
+    return grouped_aggregate(ds, cols, [], num_partitions=num_partitions)
 
 
 def grouped_aggregate(ds, keys: list[str], aggs: list[tuple], *,
                       num_partitions: int = 64):
     """Distributed groupby-aggregate as per-block Arrow partials → one
-    int-keyed hash exchange → per-partition Arrow finals.
+    :func:`exchange` on the key → per-partition Arrow finals.
 
     ``aggs``: list of ``(col, fn, alias)`` with ``fn`` in
     ``{"sum", "min", "max", "count"}`` — the self-decomposable
-    aggregates (``count`` partials combine by sum).  Replaces
+    aggregates (``count`` partials combine by sum).  Output columns:
+    the keys, then the aliases.  Replaces
     ``Dataset.groupby(keys).aggregate(...)`` where the key set is
     data-scale: Ray's aggregate sorts the whole exchange on the key
     (measured 4.1 s vs 1.4 s for this shape on the Q18 orderkey
     groupby at sf0.1, and ~300 s on a 3M-row two-key pair table).
-    Composite keys are NUL-joined via Arrow, never pandas concat.
     Raises ``ValueError`` on more than one ``count`` (Arrow names
     every count output ``count_all``) and on an alias equal to a key.
     """
-    from ..hashing import hash_bucket_array
-
     for _, fn, alias in aggs:
         if fn not in ("sum", "min", "max", "count"):
             raise ValueError(
@@ -951,26 +967,9 @@ def grouped_aggregate(ds, keys: list[str], aggs: list[tuple], *,
     if sum(fn == "count" for _, fn, _ in aggs) > 1:
         raise ValueError("at most one 'count' aggregate per call")
 
-    def _key_array(t: pa.Table):
-        if len(keys) == 1:
-            k = t[keys[0]]
-            if isinstance(k, pa.ChunkedArray):
-                k = k.combine_chunks()
-            return pc.cast(k, pa.string())
-        return pc.binary_join_element_wise(
-            *[pc.cast(t[c], pa.string()) for c in keys], "\x00"
-        )
-
     def partial(t: pa.Table) -> pa.Table:
-        specs = []
-        names = []
-        for col, fn, alias in aggs:
-            if fn == "count":
-                specs.append(([], "count_all"))
-                names.append(alias)
-            else:
-                specs.append((col, fn))
-                names.append(alias)
+        specs = [([], "count_all") if fn == "count" else (col, fn)
+                 for col, fn, _ in aggs]
         g = t.select(
             list(keys)
             + sorted({c for c, f, _ in aggs if f != "count"} - set(keys))
@@ -981,24 +980,19 @@ def grouped_aggregate(ds, keys: list[str], aggs: list[tuple], *,
         for (col, fn, alias) in aggs:
             src = "count_all" if fn == "count" else f"{col}_{fn}"
             out_cols[alias] = g[src]
-        out = pa.table(out_cols)
-        return out.append_column(
-            "_gpart", hash_bucket_array(_key_array(out), num_partitions)
-        )
+        return pa.table(out_cols)
 
     def final(g: pa.Table) -> pa.Table:
-        specs = []
-        for col, fn, alias in aggs:
-            specs.append((alias, "sum" if fn == "count" else fn))
-        gg = g.drop_columns(["_gpart"]).group_by(list(keys)).aggregate(specs)
+        specs = [(alias, "sum" if fn == "count" else fn)
+                 for _, fn, alias in aggs]
+        gg = g.group_by(list(keys)).aggregate(specs)
         out_cols = {k: gg[k] for k in keys}
         for (col, fn, alias) in aggs:
             src = f"{alias}_{'sum' if fn == 'count' else fn}"
             out_cols[alias] = gg[src]
         return pa.table(out_cols)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_gpart")
-        .map_groups(final, batch_format="pyarrow")
+    return exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), keys, final,
+        num_partitions=num_partitions,
     )

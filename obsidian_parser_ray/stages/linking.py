@@ -465,7 +465,7 @@ def link_combined_shuffle(combined, *, num_partitions: int = 64,
     """
     import pyarrow.compute as pc
 
-    from ..hashing import hash_bucket_array
+    from .joins import exchange
 
     def tag(t: pa.Table) -> pa.Table:
         rk = _arr(t["row_kind"])
@@ -478,14 +478,11 @@ def link_combined_shuffle(combined, *, num_partitions: int = 64,
         literal = pc.and_(
             pc.invert(is_dict), pc.is_in(kind, value_set=_LITERAL_ARR)
         )
-        # dict rows have null subj — fill before hashing (those lanes
+        # dict rows have null subj — fill before keying (those lanes
         # are never selected by the literal mask)
-        subj_part = hash_bucket_array(pc.fill_null(subj, ""), num_partitions)
-        key_part = hash_bucket_array(key, num_partitions)
-        part = pc.if_else(literal, subj_part, key_part)
         return pa.table(
             {
-                "part": part,
+                "_xk": pc.if_else(literal, pc.fill_null(subj, ""), key),
                 "is_dict": is_dict,
                 "kind": kind,
                 "key": key,
@@ -496,10 +493,9 @@ def link_combined_shuffle(combined, *, num_partitions: int = 64,
             }
         )
 
-    edges = (
-        combined.map_batches(tag, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_resolve_link_partition, batch_format="pyarrow")
+    edges = exchange(
+        combined.map_batches(tag, batch_format="pyarrow"), ["_xk"],
+        _resolve_link_partition, num_partitions=num_partitions,
     )
     if drop_unresolved:
         edges = edges.map_batches(

@@ -89,9 +89,11 @@ def test_analyzer_components_topology_size_selected(
     ray_session, monkeypatch
 ):
     """The components path is chosen by node+edge size: small inputs
-    take the driver union-find, large (forced via max_local_nodes=0)
-    take distributed pointer jumping — with an identical report."""
+    take the driver union-find, large (forced by patching the
+    broadcast guard) take distributed pointer jumping — with an
+    identical report."""
     import obsidian_parser_ray.pipelines.analyzer as mod
+    from obsidian_parser_ray.stages import joins
 
     rows = _synth_rows(60)
     docs = rd.from_arrow(
@@ -117,6 +119,5 @@ def test_analyzer_components_topology_size_selected(
         raise AssertionError("local path taken above the guard")
 
     monkeypatch.setattr(mod, "connected_components_local", _boom2)
-    assert (
-        analyze(docs, linker_concurrency=2, max_local_nodes=0) == exp
-    )
+    monkeypatch.setattr(joins, "BROADCAST_MAX_ROWS", -1)
+    assert analyze(docs, linker_concurrency=2) == exp

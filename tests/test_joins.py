@@ -598,6 +598,121 @@ class TestAutoSalt:
             hash_join(ds, ds, left_key="k", how="full", salt="auto")
 
 
+class TestExchange:
+    """``exchange`` contract: every key's rows reach exactly one
+    ``reduce`` call, and ``reduce`` never sees the partition column."""
+
+    @staticmethod
+    def _calls(ds, keys, num_partitions=4):
+        """Per key: the reduce calls that saw it and its row count."""
+        import uuid
+
+        import pyarrow as pa
+
+        from obsidian_parser_ray.stages.joins import exchange
+
+        def reduce(g: pa.Table) -> pa.Table:
+            out = g.group_by(keys).aggregate([([], "count_all")])
+            n = out.num_rows
+            return out.append_column(
+                "call", pa.array([uuid.uuid4().hex] * n)
+            ).append_column(
+                "cols", pa.array([",".join(g.column_names)] * n)
+            )
+
+        calls, rows = {}, {}
+        for r in exchange(ds, keys, reduce,
+                          num_partitions=num_partitions).take_all():
+            k = tuple(r[c] for c in keys)
+            calls.setdefault(k, set()).add(r["call"])
+            rows[k] = rows.get(k, 0) + r["count_all"]
+            assert r["cols"] == ",".join(ds.schema().names)
+        return calls, rows
+
+    def test_each_key_reaches_one_call(self, ray_session):
+        import collections
+
+        import numpy as np
+        import pyarrow as pa
+        import ray.data as rd
+
+        rng = np.random.RandomState(3)
+        ints = rng.randint(0, 50, 3000)
+        strs = [["p", "q", "r\x00s", ""][i] for i in rng.randint(0, 4, 3000)]
+        ds = rd.from_arrow(pa.table({
+            "i": pa.array(ints, pa.int64()),
+            "s": pa.array(strs, pa.string()),
+        })).repartition(7)
+        for keys, exp in (
+            (["i"], collections.Counter((int(x),) for x in ints)),
+            (["s"], collections.Counter((x,) for x in strs)),
+            (["i", "s"], collections.Counter(
+                (int(x), y) for x, y in zip(ints, strs))),
+        ):
+            calls, rows = self._calls(ds, keys)
+            assert rows == dict(exp)
+            assert all(len(c) == 1 for c in calls.values())
+
+    def test_nul_and_null_composite_parts(self, ray_session):
+        import pyarrow as pa
+        import ray.data as rd
+
+        # ("a\x00b", "c") and ("a", "b\x00c") join to the same string,
+        # and so does every key with a null part: they may share a
+        # partition but stay distinct groups
+        ds = rd.from_arrow(pa.table({
+            "k1": pa.array(["a\x00b", "a", "a\x00b", None, "a", None]),
+            "k2": pa.array(["c", "b\x00c", "c", "c", None, "c"]),
+        })).repartition(3)
+        calls, rows = self._calls(ds, ["k1", "k2"])
+        assert rows == {("a\x00b", "c"): 2, ("a", "b\x00c"): 1,
+                        (None, "c"): 2, ("a", None): 1}
+        assert all(len(c) == 1 for c in calls.values())
+
+    def test_single_key_partition_is_its_hash_bucket(self, ray_session):
+        import pyarrow as pa
+        import ray.data as rd
+
+        from obsidian_parser_ray.hashing import hash_bucket_array
+        from obsidian_parser_ray.stages.joins import exchange
+
+        def buckets(g: pa.Table) -> pa.Table:
+            b = hash_bucket_array(g["k"], 8).unique()
+            return pa.table({"n_buckets": [len(b)]})
+
+        ds = rd.from_arrow(
+            pa.table({"k": [f"key{i % 37}" for i in range(500)]})
+        ).repartition(5)
+        out = exchange(ds, ["k"], buckets, num_partitions=8).take_all()
+        assert out and all(r["n_buckets"] == 1 for r in out)
+
+    def test_pandas_reduce_sees_input_columns(self, ray_session):
+        import pyarrow as pa
+        import ray.data as rd
+
+        from obsidian_parser_ray.stages.joins import exchange
+
+        ds = rd.from_arrow(pa.table({"k": [1, 2, 1], "v": [3, 4, 5]}))
+        out = exchange(
+            ds, ["k"], lambda g: g.assign(n=len(g), cols=",".join(g.columns)),
+            batch_format="pandas",
+        ).take_all()
+        got = sorted((r["k"], r["v"], r["n"], r["cols"]) for r in out)
+        assert got == [(1, 3, 2, "k,v"), (1, 5, 2, "k,v"), (2, 4, 1, "k,v")]
+
+    def test_empty_input(self, ray_session):
+        import pyarrow as pa
+        import ray.data as rd
+
+        from obsidian_parser_ray.stages.joins import exchange
+
+        ds = rd.from_arrow(pa.table({
+            "k": pa.array([], pa.string()), "v": pa.array([], pa.int64()),
+        }))
+        assert exchange(ds, ["k"], lambda g: g).count() == 0
+        assert exchange(ds, ["k", "v"], lambda g: g).count() == 0
+
+
 class TestDistinctRows:
     def test_matches_bruteforce_and_handles_multi_block(self, ray_session):
         import numpy as np

@@ -30,3 +30,29 @@ def test_sources_compile_without_warnings():
                 failures.append(f"{path.relative_to(ROOT)}: {e}")
     assert len(list(_sources())) > 10
     assert not failures, "\n".join(failures)
+
+
+def test_keyed_shuffles_go_through_exchange():
+    """The hash-partition shuffle is ``joins.exchange``: no hand-built
+    partition column is grouped on in the modules moved onto it, and in
+    ``joins.py`` only ``exchange`` and the two salted join exchanges
+    (``hash_join``, ``hash_join_unique``) group on one."""
+    import ast
+    import re
+
+    pat = re.compile(r"""groupby\(\s*["'](\w*part|pp)["']""")
+    stages = ROOT / "obsidian_parser_ray" / "stages"
+    for name in ("canonicalize.py", "linking.py", "graphops.py",
+                 "dedup.py"):
+        src = (stages / name).read_text(encoding="utf-8")
+        hits = [i + 1 for i, line in enumerate(src.splitlines())
+                if pat.search(line)]
+        assert not hits, f"{name}: partition groupby at lines {hits}"
+
+    src = (stages / "joins.py").read_text(encoding="utf-8")
+    owners = []
+    for fn in ast.parse(src).body:
+        if isinstance(fn, ast.FunctionDef) and pat.search(
+                ast.get_source_segment(src, fn)):
+            owners.append(fn.name)
+    assert sorted(owners) == ["exchange", "hash_join", "hash_join_unique"]
