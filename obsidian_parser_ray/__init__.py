@@ -14,6 +14,7 @@ from .pipelines.graph import (
     duplicates_by_content,
     duplicates_by_name,
     read_adjacency,
+    read_adjacency_many,
     write_adjacency,
     write_graph,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "duplicates_by_content",
     "duplicates_by_name",
     "read_adjacency",
+    "read_adjacency_many",
     "spans_from_raw",
     "synth_vault",
     "write_adjacency",

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import pyarrow as pa
+
 from ..stages.canonicalize import canonicalize, degree_top_k, sorted_triples
 from ..stages.extract import explode_mentions, extract_notes
 from ..stages.linking import build_dictionary, child_of_edges, link_mentions
@@ -46,6 +48,10 @@ from ..stages.linking import build_dictionary, child_of_edges, link_mentions
 #: dictionary (3.84M docs, BASELINE.md scaling table) still links
 #: faster by broadcast.
 LINK_MAX_ENTRIES = 10_000_000
+
+#: Columns and types of every adjacency read (hit or empty).
+_ADJ_SCHEMA = pa.schema([("subj", pa.string()), ("pred", pa.string()),
+                         ("obj", pa.string()), ("weight", pa.int64())])
 
 
 @dataclass
@@ -399,10 +405,12 @@ def write_adjacency(result: GraphResult, out_dir: str, *,
         shard = pa.array((bucket * splits + split).astype("int32"), pa.int32())
         return t.append_column("shard", shard)
 
-    # atomic + idempotent (same contract as state.checkpoint_dataset):
-    # write into a tmp dir, rename into place — a rerun replaces the
-    # layout instead of APPENDing duplicate files into bucket dirs, and
-    # a crash never leaves a manifest over partial data.
+    # idempotent: write into a tmp dir, rename into place — a rerun
+    # replaces the layout instead of APPENDing duplicate files into
+    # bucket dirs, and a crash never leaves a manifest over partial
+    # data.  Not atomic: between the rmtree and the os.replace below
+    # there is no layout (a crash there loses it; a concurrent
+    # read_adjacency_many raises).
     import shutil
 
     tmp = out_dir + ".tmp"
@@ -458,52 +466,55 @@ def write_adjacency(result: GraphResult, out_dir: str, *,
     return manifest
 
 
-def read_adjacency(out_dir: str, subj: str):
-    """Partition-pruned adjacency lookup: triples of ONE subject.
+def read_adjacency_many(out_dir: str, subjects) -> pa.Table:
+    """Triples of the given subjects, read on the caller with no Ray
+    task: each subject hashes to its (bucket, split) shard, and each
+    shard file is opened ONCE with the subject set pushed down as a
+    Parquet filter (files are sorted on ``subj``, so row-group
+    statistics skip the row groups that cannot hold one).
 
-    Prunes to the single shard FILE the subject hashes into — its
-    bucket directory and, within it, its split (1/(num_buckets ×
-    splits) of the table touched per lookup)."""
+    Returns the columns of :data:`_ADJ_SCHEMA`; shards come in
+    manifest (bucket, split) order and rows in file order within each.
+    Duplicate subjects read once.  A shard the manifest does not list
+    had no rows and reads as empty; a listed shard whose file is gone
+    (a lookup inside ``write_adjacency``'s replace) raises
+    ``FileNotFoundError`` instead of answering empty."""
     import json
     import os
 
-    import pyarrow as pa
-    import ray.data as rd
+    import numpy as np
+    import pyarrow.parquet as pq
 
-    from ..hashing import hash64_scalar
+    from ..hashing import hash64_array
 
+    subs = sorted(set(subjects))
     with open(os.path.join(out_dir, "_ADJ_MANIFEST.json")) as f:
         man = json.load(f)
-    h = hash64_scalar(subj)
-    bucket = h % man["num_buckets"]
-    split = (h // man["num_buckets"]) % man["splits_per_bucket"]
-    path = os.path.join(
-        out_dir, "data", f"subj_bucket={bucket}", f"part-{split:05d}.parquet"
-    )
-    # no file is written for a shard with no rows (empty groups don't
-    # reach map_groups) — treat missing as empty
-    if not os.path.isfile(path):
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "subj": pa.array([], pa.string()),
-                    "pred": pa.array([], pa.string()),
-                    "obj": pa.array([], pa.string()),
-                    "weight": pa.array([], pa.int64()),
-                }
-            )
+    nb, splits = man["num_buckets"], man["splits_per_bucket"]
+    listed = {(p["bucket"], p["split"]) for p in man["partitions"]}
+    h = hash64_array(subs)
+    bucket = (h % np.uint64(nb)).tolist()
+    split = (h // np.uint64(nb) % np.uint64(splits)).tolist()
+    by_shard: dict[tuple[int, int], list[str]] = {}
+    for s, key in zip(subs, zip(bucket, split)):
+        if key in listed:
+            by_shard.setdefault(key, []).append(s)
+    tables = [
+        pq.read_table(
+            os.path.join(out_dir, "data", f"subj_bucket={b}",
+                         f"part-{sp:05d}.parquet"),
+            schema=_ADJ_SCHEMA, filters=[("subj", "in", group)],
+            partitioning=None,
         )
-    # pc.equal kernel, not an interpolated expr string — doc_ids are
-    # arbitrary vault paths (quotes/backslashes must not reach a parser)
-    import pyarrow.compute as pc
+        for (b, sp), group in sorted(by_shard.items())
+    ]
+    return pa.concat_tables(tables or [_ADJ_SCHEMA.empty_table()])
 
-    # the column select also drops any ``subj_bucket`` column Ray
-    # infers from the hive dir in the path
-    def keep(t: pa.Table) -> pa.Table:
-        return t.filter(
-            pc.equal(t["subj"], pa.scalar(subj, pa.string()))
-        ).select(["subj", "pred", "obj", "weight"])
 
-    return rd.read_parquet(path, file_extensions=["parquet"]).map_batches(
-        keep, batch_format="pyarrow"
-    )
+def read_adjacency(out_dir: str, subj: str):
+    """Partition-pruned adjacency lookup: triples of ONE subject, as a
+    Dataset over :func:`read_adjacency_many`'s caller-side read (one
+    shard file, 1/(num_buckets × splits) of the table)."""
+    import ray.data as rd
+
+    return rd.from_arrow(read_adjacency_many(out_dir, [subj]))

@@ -622,6 +622,137 @@ class TestAdjacencyLayout:
         assert {(r["subj"], r["obj"]) for r in rows} == {(evil, "plain")}
         assert read_adjacency(out, "no'such").take_all() == []
 
+    def test_readers_equal_full_table_filter(self, tmp_path, ray_session):
+        """Both adjacency readers return exactly the rows of a
+        ``pc.equal`` filter over the whole ``data/`` table (files in
+        manifest order), row order included: every subject of the
+        split-1 and split-4 layouts, a hostile id, a subject whose
+        bucket has no file and one whose shard file lacks it.  A shard
+        the manifest lists but whose file is gone raises."""
+        import os
+
+        import pyarrow as pa
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+
+        from obsidian_parser_ray import build_graph
+        from obsidian_parser_ray.hashing import hash64_scalar
+        from obsidian_parser_ray.pipelines.graph import (
+            _ADJ_SCHEMA,
+            read_adjacency,
+            read_adjacency_many,
+            write_adjacency,
+        )
+        from obsidian_parser_ray.sources import from_markdown_items
+
+        evil = "we'ird\"note\\x"
+        docs = from_markdown_items(
+            [
+                (f"n{i}", f"[[n{(i * 7 + 1) % 23}]] x [[n{(i * 3 + 2) % 23}]] [[hub]]")
+                for i in range(23)
+            ]
+            + [("hub", "[[n0]]"), (evil, "[[hub]] [[n1]]")]
+        )
+        g = build_graph(docs, include_child_of=False)
+
+        def shard_file(b, s):
+            return f"subj_bucket={b}/part-{s:05d}.parquet"
+
+        no_file_seen = 0
+        for nb, splits in ((2, 1), (2, 4), (16, 1)):
+            out = str(tmp_path / f"adj_{nb}_{splits}")
+            man = write_adjacency(g, out, num_buckets=nb,
+                                  splits_per_bucket=splits)
+            data = os.path.join(out, "data")
+            parts = [(p["bucket"], p["split"]) for p in man["partitions"]]
+            on_disk = sorted(os.path.relpath(os.path.join(r, f), data)
+                             for r, _, fs in os.walk(data) for f in fs)
+            assert on_disk == sorted(shard_file(*p) for p in parts)
+            whole = pa.concat_tables(
+                pq.read_table(os.path.join(data, shard_file(*p)),
+                              partitioning=None) for p in parts)
+
+            def shard_of(s):
+                h = hash64_scalar(s)
+                return (h % nb, h // nb % splits)
+
+            subjects = sorted(set(whole["subj"].to_pylist()))
+            assert evil in subjects
+            absent = [f"nope{i}" for i in range(200)]
+            in_file = next(s for s in absent if shard_of(s) in parts)
+            no_file = [s for s in absent if shard_of(s) not in parts][:1]
+            no_file_seen += len(no_file)
+            probes = subjects + [in_file, "no'such"] + no_file
+            for s in probes:
+                want = whole.filter(
+                    pc.equal(whole["subj"], pa.scalar(s, pa.string())))
+                got = read_adjacency(out, s)
+                assert got.schema().names == _ADJ_SCHEMA.names
+                assert got.take_all() == want.to_pylist(), s
+
+            many = read_adjacency_many(out, probes + probes[::-2])
+            assert many.schema == _ADJ_SCHEMA
+            assert many.to_pylist() == whole.filter(
+                pc.is_in(whole["subj"], value_set=pa.array(probes))
+            ).to_pylist()
+            assert many.num_rows == whole.num_rows > 0
+            empty = read_adjacency_many(out, [])
+            assert empty.schema == _ADJ_SCHEMA and empty.num_rows == 0
+        assert no_file_seen  # the 16-bucket layout leaves buckets empty
+
+        # on the last (16-bucket) layout: listed in the manifest, file
+        # gone (a lookup inside write_adjacency's replace) — raise,
+        # never an empty answer
+        gone = parts[-1]
+        victim = next(s for s in subjects if shard_of(s) == gone)
+        os.remove(os.path.join(data, shard_file(*gone)))
+        with pytest.raises(FileNotFoundError):
+            read_adjacency(out, victim)
+        with pytest.raises(FileNotFoundError):
+            read_adjacency_many(out, ["hub", victim])
+        other = next(s for s in subjects if shard_of(s) != gone)
+        assert read_adjacency(out, other).take_all() == whole.filter(
+            pc.equal(whole["subj"], pa.scalar(other, pa.string()))
+        ).to_pylist()
+
+    def test_lookup_starts_no_dataset_execution(self, tmp_path,
+                                                ray_session, monkeypatch):
+        """Both readers work on the caller: no Ray Data execution
+        starts until the returned Dataset is consumed."""
+        from ray.data._internal.execution.streaming_executor import (
+            StreamingExecutor,
+        )
+
+        from obsidian_parser_ray import build_graph
+        from obsidian_parser_ray.pipelines.graph import (
+            read_adjacency,
+            read_adjacency_many,
+            write_adjacency,
+        )
+        from obsidian_parser_ray.sources import from_markdown_items
+
+        docs = from_markdown_items(
+            [("a", "[[b]]"), ("b", "[[a]] [[c]]"), ("c", "leaf")])
+        out = str(tmp_path / "adj_exec")
+        write_adjacency(build_graph(docs, include_child_of=False), out,
+                        num_buckets=4)
+        calls = []
+        real_execute = StreamingExecutor.execute
+
+        def counting(executor, *a, **kw):
+            calls.append(1)
+            return real_execute(executor, *a, **kw)
+
+        monkeypatch.setattr(StreamingExecutor, "execute", counting)
+        ds = read_adjacency(out, "b")
+        assert len(calls) == 0
+        many = read_adjacency_many(out, ["a", "b", "missing"])
+        assert len(calls) == 0
+        assert many.num_rows == 3
+        rows = ds.take_all()
+        assert len(calls) == 1
+        assert {(r["subj"], r["obj"]) for r in rows} == {("b", "a"), ("b", "c")}
+
 
 class TestShuffleJoinEmptyPartitions:
     def test_dict_only_partitions_do_not_crash(self):

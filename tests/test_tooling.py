@@ -56,3 +56,23 @@ def test_keyed_shuffles_go_through_exchange():
                 ast.get_source_segment(src, fn)):
             owners.append(fn.name)
     assert sorted(owners) == ["exchange", "hash_join", "hash_join_unique"]
+
+
+def test_adjacency_reads_stay_on_the_caller():
+    """Adjacency lookups read their shard files with pyarrow on the
+    caller: neither reader in ``pipelines/graph.py`` plans a Ray Data
+    Parquet read again."""
+    import ast
+
+    src = (ROOT / "obsidian_parser_ray" / "pipelines" / "graph.py").read_text(
+        encoding="utf-8")
+    readers = {
+        fn.name: ast.get_source_segment(src, fn)
+        for fn in ast.parse(src).body
+        if isinstance(fn, ast.FunctionDef)
+        and fn.name in ("read_adjacency", "read_adjacency_many")
+    }
+    assert sorted(readers) == ["read_adjacency", "read_adjacency_many"]
+    hits = sorted(name for name, seg in readers.items()
+                  if "read_parquet(" in seg)
+    assert not hits, f"Dataset parquet read in {hits}"
