@@ -782,7 +782,7 @@ def _q_doc_minhash_neardup(sf_dir: str):
     )
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    found = minhash_lsh_pairs(ds, threshold=0.4, concurrency=2).to_pandas()
+    found = minhash_lsh_pairs(ds, threshold=0.4).to_pandas()
     exact = ngram_jaccard_pairs(ds, threshold=0.5, max_df=64).to_pandas()
     f = {(a, b) for a, b in zip(found["id_a"], found["id_b"])}
     t = {(a, b) for a, b in zip(exact["id_a"], exact["id_b"])}

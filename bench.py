@@ -89,12 +89,7 @@ def _kg_build(sf_dir: str, num_cpus: int) -> int:
     from obsidian_parser_ray import build_graph, synth_vault
     from obsidian_parser_ray.stages.canonicalize import sorted_triples
 
-    # task-path linker (concurrency=None): no actor spin-up — the right
-    # choice at small sf scale; the scaling child uses the actor pool
-    g = build_graph(
-        synth_vault(sf_dir, override_num_blocks=num_cpus * 2),
-        linker_concurrency=None,
-    )
+    g = build_graph(synth_vault(sf_dir, override_num_blocks=num_cpus * 2))
     return _consume(sorted_triples(g.triples))
 
 
@@ -117,11 +112,7 @@ def bench_queries(sf_dir: str, num_cpus: int) -> tuple[dict[str, float], int]:
         from obsidian_parser_ray.stages.dedup import minhash_lsh_pairs
 
         return _consume(
-            minhash_lsh_pairs(
-                read("documents", ["doc_id", "text"]),
-                threshold=0.4,
-                concurrency=max(2, num_cpus // 4),
-            )
+            minhash_lsh_pairs(read("documents", ["doc_id", "text"]), threshold=0.4)
         )
 
     def q_emb_knn():
@@ -245,19 +236,12 @@ def _scaling_child(num_cpus: int) -> None:
     out_dir = f"{out_base}/graft_scale_out_{num_cpus}"
     shutil.rmtree(out_dir, ignore_errors=True)
     t0 = time.perf_counter()
-    # fixed-size actor pool (int) — all linker actors spin up at
-    # operator start instead of autoscaling lag after the dict barrier;
     # materialize_notes=False → one parse into the combined table, then
     # fully streaming link→canonicalize (no notes barrier); the sink is
     # the fused bucketed adjacency write (one int-key shuffle whose
     # reduce task sorts locally and writes directly; BASELINE.md "Fused
     # adjacency sink"), not a driver-side stream.
-    g = build_graph(
-        docs,
-        linker_concurrency=max(2, num_cpus // 2),
-        include_child_of=False,
-        materialize_notes=False,
-    )
+    g = build_graph(docs, include_child_of=False, materialize_notes=False)
     t_dict = time.perf_counter() - t0
     man = write_adjacency(
         g, out_dir, num_buckets=num_cpus * 2,

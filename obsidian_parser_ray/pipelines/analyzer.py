@@ -33,7 +33,7 @@ def analyzer_filter(batch: pa.Table) -> pa.Table:
     return batch.filter(pc.and_(pc.and_(ok, nonempty), not_todo))
 
 
-def analyze(docs, *, linker_concurrency=None) -> dict:
+def analyze(docs) -> dict:
     """documents Dataset → analyzer report dict.
 
     Aggregates are tiny (driver-side scalars); the heavy lifting stays
@@ -49,12 +49,7 @@ def analyze(docs, *, linker_concurrency=None) -> dict:
     """
     from ray.data.aggregate import Sum
 
-    g = build_graph(
-        docs,
-        user_filter=analyzer_filter,
-        linker_concurrency=linker_concurrency,
-        include_child_of=False,
-    )
+    g = build_graph(docs, user_filter=analyzer_filter, include_child_of=False)
     # triples feed two consumers (hub top-k, components) — pin once so
     # the explode→link→canonicalize lineage doesn't execute twice
     g.triples = g.triples.materialize()

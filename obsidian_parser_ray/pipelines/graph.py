@@ -6,8 +6,8 @@ Ray-Data-first dataflow in one of two shapes::
     streaming (default for large or unknown-size inputs)
       documents ─ extract_mentions_and_dict (ONE parse) → combined
                   (mention rows ∪ dict partials), materialized
-        ├─ under the link guard: driver merge → ray.put → EntityLinker
-        │    actor pool                                  "broadcast"
+        ├─ under the link guard: driver merge → ray.put → stateless
+        │    linking tasks                               "broadcast"
         └─ over it: hash-partition the same table on the lookup key,
              merge + link per partition              "shuffle-combined"
 
@@ -15,7 +15,7 @@ Ray-Data-first dataflow in one of two shapes::
              inputs under 1 GiB)
       documents ─ extract_notes → notes, pinned (materialize or
                   parquet checkpoint + manifest — the resume point)
-        ├─ dictionary (first-wins) → ray.put → EntityLinker actor pool
+        ├─ dictionary (first-wins) → ray.put → stateless linking tasks
         └─ node table, duplicate reports
 
     edges ∪ child_of → per-block combine → groupby(subj,pred,obj)
@@ -122,7 +122,7 @@ def _dict_exceeds_broadcast(combined, rows: int) -> bool:
     under both limits needs no probe: ``rows`` and ``size_bytes()``
     are block metadata.  Otherwise one vectorized sweep sums the
     dictionary side's row count (driver-merge size) and key+val bytes
-    (plasma / per-actor deserialization) — both dimensions of the
+    (plasma / per-task deserialization) — both dimensions of the
     broadcast cliff, as in ``joins.broadcast_join_unique``.
     """
     import pyarrow.compute as pc
@@ -164,7 +164,6 @@ def build_graph(
     include_child_of: bool = True,
     include_tags: bool = True,
     checkpoint_dir: str | None = None,
-    linker_concurrency=(2, 8),
     linker_batch_size: int | None = None,
     extract_batch_size: int | None = None,
     user_filter=None,
@@ -192,7 +191,8 @@ def build_graph(
 
     The streaming shape links by broadcast or by the combined shuffle,
     chosen by the measured link guard; the topology that ran is
-    :attr:`GraphResult.link_topology`.
+    :attr:`GraphResult.link_topology`.  The broadcast links in
+    stateless tasks (``stages.linking.link_mentions``).
     """
     notes = extract_notes(docs, batch_size=extract_batch_size,
                           strict_lists=strict_lists)
@@ -263,7 +263,6 @@ def build_graph(
         edges = link_mentions(
             link_input,
             dictionary,
-            concurrency=linker_concurrency,
             batch_size=linker_batch_size,
             drop_unresolved=drop_unresolved,
         )

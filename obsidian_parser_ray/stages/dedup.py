@@ -145,7 +145,8 @@ def jaccard(a: set, b: set) -> float:
 
 
 class MinHasher:
-    """Seeded universal-hash MinHash family (held once per actor).
+    """Seeded universal-hash MinHash family (two seeded arrays, built
+    per batch by :func:`_minhash_docs` in well under a millisecond).
 
     31-bit family: ``(a*x + b) mod (2^31 - 1)`` with a, b, x < 2^31 —
     every intermediate fits int64 exactly (no silent wrap), signatures
@@ -245,45 +246,36 @@ def _band_hash_matrix(sigs: np.ndarray, bands: int) -> np.ndarray:
     return (acc & np.uint64(0x7FFFFFFFFFFFFFFF)).astype(np.int64)
 
 
-class _MinHashDocs:
-    """Actor-pool stage: doc → ONE row (doc_id, sig, band_hashes)."""
-
-    def __init__(self, num_hashes: int, bands: int, shingle_k: int, seed: int,
-                 text_col: str, id_col: str):
-        self.mh = MinHasher(num_hashes, seed)
-        self.bands = bands
-        self.k = shingle_k
-        self.text_col = text_col
-        self.id_col = id_col
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        texts = t[self.text_col].to_pylist()
-        n = len(texts)
-        sigs = np.empty((n, self.mh.num_hashes), dtype=_SIG_DTYPE)
-        for i, text in enumerate(texts):
-            sigs[i] = self.mh.signature_from_hashes(shingle_hashes(text, self.k))
-        band = _band_hash_matrix(sigs, self.bands) if n else np.empty(
-            (0, self.bands), dtype=np.int64
-        )
-        offsets = pa.array(
-            np.arange(n + 1, dtype=np.int32) * self.bands, pa.int32()
-        )
-        # FixedSizeBinary signature: one contiguous buffer, zero-copy
-        # numpy view downstream (a variable-width binary column would
-        # cost a per-row Python bytes object in the verify kernel)
-        width = self.mh.num_hashes * sigs.dtype.itemsize
-        sig_arr = pa.FixedSizeBinaryArray.from_buffers(
-            pa.binary(width), n, [None, pa.py_buffer(sigs.tobytes())]
-        )
-        return pa.table(
-            {
-                "doc_id": t[self.id_col],
-                "sig": sig_arr,
-                "band_hashes": pa.ListArray.from_arrays(
-                    offsets, pa.array(band.ravel(), pa.int64())
-                ),
-            }
-        )
+def _minhash_docs(t: pa.Table, *, num_hashes: int, bands: int,
+                  shingle_k: int, seed: int, text_col: str,
+                  id_col: str) -> pa.Table:
+    """Stateless batch stage: doc → ONE row (doc_id, sig, band_hashes)."""
+    mh = MinHasher(num_hashes, seed)
+    texts = t[text_col].to_pylist()
+    n = len(texts)
+    sigs = np.empty((n, num_hashes), dtype=_SIG_DTYPE)
+    for i, text in enumerate(texts):
+        sigs[i] = mh.signature_from_hashes(shingle_hashes(text, shingle_k))
+    band = _band_hash_matrix(sigs, bands) if n else np.empty(
+        (0, bands), dtype=np.int64
+    )
+    offsets = pa.array(np.arange(n + 1, dtype=np.int32) * bands, pa.int32())
+    # FixedSizeBinary signature: one contiguous buffer, zero-copy
+    # numpy view downstream (a variable-width binary column would
+    # cost a per-row Python bytes object in the verify kernel)
+    width = num_hashes * sigs.dtype.itemsize
+    sig_arr = pa.FixedSizeBinaryArray.from_buffers(
+        pa.binary(width), n, [None, pa.py_buffer(sigs.tobytes())]
+    )
+    return pa.table(
+        {
+            "doc_id": t[id_col],
+            "sig": sig_arr,
+            "band_hashes": pa.ListArray.from_arrays(
+                offsets, pa.array(band.ravel(), pa.int64())
+            ),
+        }
+    )
 
 
 def minhash_lsh_pairs(
@@ -297,7 +289,6 @@ def minhash_lsh_pairs(
     threshold: float = 0.5,
     seed: int = 42,
     max_bucket: int = 200,
-    concurrency=(1, 8),
     batch_size: int | None = 512,
     num_partitions: int = 64,
     candidates: str = "pairs",
@@ -308,8 +299,10 @@ def minhash_lsh_pairs(
     the former per-doc signature table ``materialize()`` is gone —
     signature delivery is FOLDED INTO the band shuffle):
 
-    1. actor-pool MinHash → per-doc row ``(doc_id, sig, band_hashes)``
-       (fully streaming — consumed exactly once);
+    1. stateless MinHash tasks → per-doc row ``(doc_id, sig,
+       band_hashes)`` (fully streaming — consumed exactly once; the
+       hash family is two seeded arrays rebuilt per batch, so there is
+       no actor pool to start);
     2. band explode → rows ``(band_id, band_hash, doc_id, sig)`` →
        one ``exchange`` on ``band_hash``: every band bucket holds its
        members' full signatures, so candidate fan-out AND the
@@ -354,8 +347,8 @@ def minhash_lsh_pairs(
     sig_words = num_hashes
 
     docs = ds.map_batches(
-        _MinHashDocs,
-        fn_constructor_kwargs={
+        _minhash_docs,
+        fn_kwargs={
             "num_hashes": num_hashes,
             "bands": bands,
             "shingle_k": shingle_k,
@@ -365,7 +358,6 @@ def minhash_lsh_pairs(
         },
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )
 
     def explode_bands(t: pa.Table) -> pa.Table:
@@ -1208,7 +1200,6 @@ def drop_minhash_duplicates(ds, *, text_col: str = "text",
                             bands: int = 16, shingle_k: int = 3,
                             threshold: float = 0.5, seed: int = 42,
                             max_bucket: int = 200,
-                            concurrency=(1, 8),
                             num_partitions: int = 64,
                             cc_max_iters: int = 50,
                             cc_num_partitions: int = 16):
@@ -1235,8 +1226,8 @@ def drop_minhash_duplicates(ds, *, text_col: str = "text",
     pairs = minhash_lsh_pairs(
         ds, text_col=text_col, id_col=id_col, num_hashes=num_hashes,
         bands=bands, shingle_k=shingle_k, threshold=threshold, seed=seed,
-        max_bucket=max_bucket, concurrency=concurrency,
-        num_partitions=num_partitions, candidates="star",
+        max_bucket=max_bucket, num_partitions=num_partitions,
+        candidates="star",
     )
 
     def as_edges(t: pa.Table) -> pa.Table:

@@ -16,8 +16,9 @@ Re-expresses the reference's two-phase graph build
   the one vectorized resolution kernel, in one of two topologies:
 
   - **broadcast** (:func:`link_mentions`): the dictionary is
-    ``ray.put`` ONCE and deserialized once per :class:`EntityLinker`
-    actor;
+    ``ray.put`` ONCE and each stateless linking task reads it from the
+    local object store (or, when a pool size is given, once per
+    :class:`EntityLinker` actor);
   - **shuffle** (:func:`link_combined_shuffle`): the single-pass
     combined table (mention rows ∪ dictionary partials, see
     ``stages.extract.extract_mentions_and_dict``) is hash-partitioned
@@ -252,9 +253,10 @@ _LITERAL_ARR = pa.array(sorted(_LITERAL_KINDS), pa.string())
 def link_batch(batch: pa.Table, d: "ArrowLinkDictionary") -> pa.Table:
     """Vectorized resolution of one mentions batch against a dictionary.
 
-    Shared by the broadcast actor pool (:class:`EntityLinker`), the
-    shuffle topology (:func:`link_combined_shuffle`) and the
-    incremental update — identical semantics by construction.
+    Shared by the broadcast tasks (:func:`_task_link`), the opt-in
+    actor pool (:class:`EntityLinker`), the shuffle topology
+    (:func:`link_combined_shuffle`) and the incremental update —
+    identical semantics by construction.
     """
     import pyarrow.compute as pc
 
@@ -340,12 +342,24 @@ def link_mentions(mentions, dictionary, *,
     :class:`LinkDictionary`, converted here).  Broadcast once via
     ``ray.put``.
 
-    ``concurrency=None`` runs STATELESS TASKS — each task re-opens the
-    broadcast from the local object store; no pool spin-up latency.
-    Measured 12× faster at 5k-doc scale but 2.5× SLOWER at 10⁶-doc
-    scale (per-task dictionary deserialization is NOT free once the
-    dictionary is tens of MB) — so ``build_graph`` defaults to the
-    actor pool, and callers with small vaults opt into tasks.
+    ``concurrency=None`` (the default, and the only path
+    ``build_graph`` runs) uses STATELESS TASKS: each task reads the
+    Arrow dictionary from the local object store (buffers, no
+    per-entry objects) and links — no pool to fork, no process left
+    behind when the stage ends, and a lost task re-runs from lineage.
+    Every batch builds the same ``pc.index_in`` hash tables either
+    way, so an actor saves only that zero-copy read.  Measured with
+    ``num_cpus=3`` on a 1-core host against a ``(2, 8)`` or 2-actor
+    pool: ``build_graph`` plus ``write_adjacency`` on the 1000-note
+    ``kg_build`` inputs 2.1–2.4 s → 1.2–1.4 s (medians of 10 calls,
+    same triples); the ``bench.py --scaling`` child on 200k docs
+    (1,999,953 triples on both paths) 24.6 → 21.9 s (medians of 5
+    alternating runs, tasks faster in 5 of 5); this function alone on
+    an 8.64M-entry dictionary (3.84M notes) and 2M mentions in 24
+    blocks, two alternating runs per path, pool 33.1 and 23.2 s, tasks
+    25.8 and 13.8 s.  An int or tuple ``concurrency`` still builds the
+    :class:`EntityLinker` actor pool (one dictionary fetch per actor)
+    for a caller that asks for it.
 
     ``drop_unresolved=True`` matches the reference's inner-join
     semantics (unresolvable mentions discarded, graph_builder.rs:214);

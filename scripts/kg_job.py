@@ -3,7 +3,7 @@
     ray job submit --working-dir . -- \
         python scripts/kg_job.py --input vault.parquet --output /out/kg \
         [--checkpoint-dir /ckpt] [--undirected] [--streaming] \
-        [--linker-concurrency N] [--num-blocks B]
+        [--num-blocks B]
 
 Runs the flagship pipeline (extract → entity-link → canonicalize →
 sorted materialize) and prints a one-line JSON job report (row counts,
@@ -42,7 +42,6 @@ def main() -> None:
     ap.add_argument("--materialize-notes", action="store_true",
                     help="force pinning the notes table (multi-consumer "
                          "small-vault case)")
-    ap.add_argument("--linker-concurrency", type=int, default=8)
     ap.add_argument("--num-blocks", type=int, default=None)
     ap.add_argument("--output-partitions", type=int, default=None,
                     help="coalesce output files (order-preserving)")
@@ -68,7 +67,6 @@ def main() -> None:
         include_tags=not args.no_tags,
         include_child_of=not args.no_child_of,
         checkpoint_dir=args.checkpoint_dir,
-        linker_concurrency=args.linker_concurrency,
         materialize_notes=(
             False if args.streaming
             else True if args.materialize_notes

@@ -26,6 +26,25 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture
+def actor_pools(monkeypatch):
+    """Names of the actor-pool map operators Ray Data builds while the
+    test runs (one entry per ``ActorPoolMapOperator``)."""
+    from ray.data._internal.execution.operators.actor_pool_map_operator import (
+        ActorPoolMapOperator,
+    )
+
+    names = []
+    real_init = ActorPoolMapOperator.__init__
+
+    def recording(op, *args, **kwargs):
+        real_init(op, *args, **kwargs)
+        names.append(op.name)
+
+    monkeypatch.setattr(ActorPoolMapOperator, "__init__", recording)
+    return names
+
+
 def _join_ray_data_threads(timeout_s: float) -> None:
     """Wait, up to ``timeout_s`` in total, for Ray Data's batch
     threads (``map_tp_*``) to finish.  A stream abandoned by a test

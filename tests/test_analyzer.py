@@ -80,7 +80,7 @@ def test_analyzer_matches_oracle(ray_session):
             }
         )
     )
-    got = analyze(docs, linker_concurrency=2)
+    got = analyze(docs)
     exp = _oracle_report(rows)
     assert got == exp
 
@@ -111,7 +111,7 @@ def test_analyzer_components_topology_size_selected(
         raise AssertionError("distributed path taken below the guard")
 
     monkeypatch.setattr(mod, "connected_components", _boom)
-    assert analyze(docs, linker_concurrency=2) == exp
+    assert analyze(docs) == exp
     monkeypatch.undo()
 
     # forced over the guard: DISTRIBUTED path must run; local must NOT
@@ -120,4 +120,4 @@ def test_analyzer_components_topology_size_selected(
 
     monkeypatch.setattr(mod, "connected_components_local", _boom2)
     monkeypatch.setattr(joins, "BROADCAST_MAX_ROWS", -1)
-    assert analyze(docs, linker_concurrency=2) == exp
+    assert analyze(docs) == exp

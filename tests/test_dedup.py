@@ -88,12 +88,20 @@ class TestExactDedup:
 class TestMinHashLSH:
     def test_planted_near_duplicates_found(self):
         texts = [BASE, NEAR, FAR, "unrelated words entirely " * 5]
-        out = minhash_lsh_pairs(
-            _docs_ds(texts), threshold=0.5, concurrency=1
-        ).to_pandas()
+        out = minhash_lsh_pairs(_docs_ds(texts), threshold=0.5).to_pandas()
         pairs = {(int(a), int(b)) for a, b in zip(out["id_a"], out["id_b"])}
         assert (0, 1) in pairs
         assert (0, 2) not in pairs and (1, 2) not in pairs
+
+    def test_minhash_stage_runs_no_actor_pool(self, actor_pools):
+        """The MinHash stage is a stateless batch function: no
+        actor-pool operator is built."""
+        texts = [BASE, NEAR, FAR]
+        out = minhash_lsh_pairs(_docs_ds(texts), threshold=0.5).materialize()
+        stats = out.stats()
+        assert actor_pools == []
+        assert "_minhash_docs" in stats and "_MinHashDocs" not in stats
+        assert out.count() == 1
 
     def test_exact_verification(self):
         texts = [BASE, NEAR, FAR]
@@ -411,7 +419,7 @@ class TestMinhashClusterDedup:
         ds = self._corpus()
         kept = sorted(
             drop_minhash_duplicates(
-                ds, threshold=0.5, num_partitions=8, concurrency=2
+                ds, threshold=0.5, num_partitions=8
             ).to_pandas()["doc_id"]
         )
         # each 6-doc cluster collapses to its min id; singletons survive
@@ -446,11 +454,10 @@ class TestMinhashClusterDedup:
             return {frozenset(v) for v in out.values()}
 
         full = minhash_lsh_pairs(
-            ds, threshold=0.5, num_partitions=8, concurrency=2
+            ds, threshold=0.5, num_partitions=8
         ).to_pandas()
         star = minhash_lsh_pairs(
-            ds, threshold=0.5, num_partitions=8, concurrency=2,
-            candidates="star",
+            ds, threshold=0.5, num_partitions=8, candidates="star",
         ).to_pandas()
         assert len(star) < len(full)          # linear vs quadratic surface
         assert comps(star) == comps(full)     # same clusters

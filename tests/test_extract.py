@@ -239,9 +239,7 @@ def test_streaming_build_equivalent_to_barrier_build(ray_session):
     docs = rd.from_arrow(spans_table(rows)).repartition(4)
 
     def triples(materialize_notes):
-        g = build_graph(
-            docs, materialize_notes=materialize_notes, linker_concurrency=2,
-        )
+        g = build_graph(docs, materialize_notes=materialize_notes)
         return sorted(
             tuple(sorted(r.items())) for r in g.triples.take_all()
         )
@@ -269,9 +267,7 @@ def test_int_keyed_doc_ids_build_both_shapes(ray_session):
     docs = rd.from_arrow(t).repartition(3)
 
     def triples(materialize_notes):
-        g = build_graph(
-            docs, materialize_notes=materialize_notes, linker_concurrency=2,
-        )
+        g = build_graph(docs, materialize_notes=materialize_notes)
         return sorted(
             tuple(sorted(r.items())) for r in g.triples.take_all()
         )

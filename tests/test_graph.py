@@ -42,7 +42,6 @@ class TestGoldenVault:
             _vault_ds(GOLDEN_VAULT),
             include_child_of=False,
             include_tags=False,
-            linker_concurrency=1,
             **kw,
         )
         rows = g.triples.to_pandas()
@@ -80,12 +79,49 @@ class TestGoldenVault:
         assert pr["precision"] == 1.0 and pr["recall"] == 1.0
         assert pr["weighted_exact"] == 1.0
 
+    @pytest.mark.parametrize("materialize_notes", [True, False])
+    def test_default_build_links_in_tasks_like_the_pool(
+        self, materialize_notes, actor_pools
+    ):
+        """A default build links in stateless tasks (no actor-pool
+        operator, no ``EntityLinker`` stage) and its triples, child_of
+        and tags included, equal the opt-in ``EntityLinker`` pool's
+        (``link_mentions(concurrency=1)``) on the same notes."""
+        from obsidian_parser_ray.stages.canonicalize import canonicalize
+        from obsidian_parser_ray.stages.extract import (
+            explode_mentions,
+            extract_notes,
+        )
+        from obsidian_parser_ray.stages.linking import (
+            build_dictionary,
+            child_of_edges,
+            link_mentions,
+        )
+
+        def rows(ds):
+            return sorted(tuple(r.values()) for r in ds.take_all())
+
+        g = build_graph(_vault_ds(GOLDEN_VAULT),
+                        materialize_notes=materialize_notes)
+        default = g.triples.materialize()
+        stats = default.stats()
+        assert actor_pools == []
+        assert "EntityLinker" not in stats and "_task_link" in stats
+
+        notes = extract_notes(_vault_ds(GOLDEN_VAULT)).materialize()
+        edges = link_mentions(explode_mentions(notes),
+                              build_dictionary(notes), concurrency=1)
+        pool = canonicalize(edges.union(child_of_edges(notes)))
+        assert len(rows(default)) >= 3
+        assert rows(default) == rows(pool)
+        assert any("EntityLinker" in n for n in actor_pools)
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestLinkingSemantics:
     def test_unresolved_dropped_by_default(self):
         rows = [("a", spans_from_raw("[[missing]] [[b]]")), ("b", spans_from_raw("x"))]
-        g = build_graph(_vault_ds(rows), include_tags=False, linker_concurrency=1)
+        g = build_graph(_vault_ds(rows), include_tags=False)
         t = g.triples.to_pandas()
         assert len(t) == 1 and t.iloc[0]["obj"] == "b"
 
@@ -95,14 +131,13 @@ class TestLinkingSemantics:
             _vault_ds(rows),
             include_tags=False,
             drop_unresolved=False,
-            linker_concurrency=1,
         )
         e = g.edges.to_pandas()
         assert len(e) == 1 and not e.iloc[0]["resolved"]
 
     def test_parallel_edges_weighted(self):
         rows = [("a", spans_from_raw("[[b]] [[b]] [[b]]")), ("b", spans_from_raw("x"))]
-        g = build_graph(_vault_ds(rows), include_tags=False, linker_concurrency=1)
+        g = build_graph(_vault_ds(rows), include_tags=False)
         t = g.triples.to_pandas()
         assert len(t) == 1 and int(t.iloc[0]["weight"]) == 3
 
@@ -112,7 +147,7 @@ class TestLinkingSemantics:
             ("a", spans_from_raw("[[The Alias]]")),
             ("b", spans_from_raw("---\naliases:\n- The Alias\n---\nx")),
         ]
-        g = build_graph(_vault_ds(rows), include_tags=False, linker_concurrency=1)
+        g = build_graph(_vault_ds(rows), include_tags=False)
         t = g.triples.to_pandas()
         assert {(r.subj, r.obj) for r in t.itertuples()} == {("a", "b")}
 
@@ -123,7 +158,7 @@ class TestLinkingSemantics:
             ("target", spans_from_raw("the real one")),
             ("z", spans_from_raw("---\naliases:\n- target\n---\nimpostor")),
         ]
-        g = build_graph(_vault_ds(rows), include_tags=False, linker_concurrency=1)
+        g = build_graph(_vault_ds(rows), include_tags=False)
         t = g.triples.to_pandas()
         assert {(r.subj, r.obj) for r in t.itertuples()} == {("a", "target")}
 
@@ -139,7 +174,7 @@ class TestLinkingSemantics:
             ),
             ("img", spans_from_raw("an image note")),
         ]
-        g = build_graph(_vault_ds(rows), linker_concurrency=1)
+        g = build_graph(_vault_ds(rows))
         t = {
             (r.subj, r.pred, r.obj) for r in g.triples.to_pandas().itertuples()
         }
@@ -169,7 +204,7 @@ class TestDuplicates:
             ("folder/file", spans_from_raw("same text")),
             ("unique", spans_from_raw("other text")),
         ]
-        g = build_graph(_vault_ds(rows), linker_concurrency=1)
+        g = build_graph(_vault_ds(rows))
         dn = duplicates_by_name(g.notes).to_pandas()
         assert len(dn) == 1
         assert dn.iloc[0]["note_name"] == "file"
@@ -180,7 +215,7 @@ class TestDuplicates:
 
     def test_no_duplicates(self):
         rows = [("a", spans_from_raw("x")), ("b", spans_from_raw("y"))]
-        g = build_graph(_vault_ds(rows), linker_concurrency=1)
+        g = build_graph(_vault_ds(rows))
         assert duplicates_by_name(g.notes).count() == 0
         assert duplicates_by_content(g.notes).count() == 0
 
@@ -198,7 +233,6 @@ class TestUserExtension:
         g = build_graph(
             _vault_ds(rows),
             include_tags=False,
-            linker_concurrency=1,
             user_filter=lambda t: t.filter(pc.equal(t["is_todo"], False)),
         )
         t = g.triples.to_pandas()
@@ -277,7 +311,7 @@ class TestShuffleJoinLinking:
         mentions = explode_mentions(notes)
 
         d = build_dictionary(notes)
-        bcast = canonicalize(link_mentions(mentions, d, concurrency=2))
+        bcast = canonicalize(link_mentions(mentions, d))
         shuf = canonicalize(link_combined_shuffle(
             extract_mentions_and_dict(docs).materialize(), num_partitions=4
         ))
@@ -406,7 +440,6 @@ class TestHubSkew:
 
         g = build_graph(
             rd.from_arrow(spans_table(rows)), include_child_of=False,
-            linker_concurrency=2,
         )
         hub_triples = {
             (r["subj"], r["obj"]): r["weight"]

@@ -112,7 +112,7 @@ class TestMarkdownFileRoundTrip:
         assert calls["uri"] == "/data/corpus.lance"
         assert calls["kwargs"] == {"override_num_blocks": 4}
 
-        g = build_graph(docs, linker_concurrency=None)
+        g = build_graph(docs)
         triples = g.triples.take_all()
         assert {(t["subj"], t["pred"], t["obj"]) for t in triples} == {
             ("a", "links_to", "b")

@@ -26,7 +26,7 @@ SF = "/root/testdata/sf0.001"
 
 @pytest.fixture(scope="module")
 def graph(ray_session):
-    return build_graph(synth_vault(SF), linker_concurrency=2)
+    return build_graph(synth_vault(SF))
 
 
 @pytest.fixture(scope="module")

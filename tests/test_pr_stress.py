@@ -73,7 +73,7 @@ def test_pr_one_point_zero(ray_session):
     rows = _span_rows()
     docs = rd.from_arrow(spans_table(rows))
     for directed in (True, False):
-        g = build_graph(docs, directed=directed, linker_concurrency=2)
+        g = build_graph(docs, directed=directed)
         actual = Counter(
             {
                 (r["subj"], r["pred"], r["obj"]): r["weight"]

@@ -76,3 +76,27 @@ def test_adjacency_reads_stay_on_the_caller():
     hits = sorted(name for name, seg in readers.items()
                   if "read_parquet(" in seg)
     assert not hits, f"Dataset parquet read in {hits}"
+
+
+def test_linker_and_minhash_defaults_start_no_actor_pool():
+    """``build_graph`` and ``analyze`` always link in stateless tasks
+    (no pool-size option), ``link_mentions`` does unless a pool size is
+    passed, and the MinHash entry points take no ``concurrency``."""
+    import inspect
+
+    from obsidian_parser_ray.pipelines.analyzer import analyze
+    from obsidian_parser_ray.pipelines.graph import build_graph
+    from obsidian_parser_ray.stages.dedup import (
+        drop_minhash_duplicates,
+        minhash_lsh_pairs,
+    )
+    from obsidian_parser_ray.stages.linking import link_mentions
+
+    def params(fn):
+        return inspect.signature(fn).parameters
+
+    for fn in (build_graph, analyze):
+        assert "linker_concurrency" not in params(fn), fn.__name__
+    assert params(link_mentions)["concurrency"].default is None
+    for fn in (minhash_lsh_pairs, drop_minhash_duplicates):
+        assert "concurrency" not in params(fn), fn.__name__
