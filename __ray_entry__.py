@@ -2308,9 +2308,9 @@ def _q_orders_zorder_box(sf_dir: str):
             }
         )
 
-    # deterministic per-input path: write_zorder's atomic-replace
-    # contract overwrites it on re-runs instead of leaking a fresh
-    # mkdtemp directory per query invocation
+    # deterministic per-input path: write_zorder's publish (a new
+    # generation, then the sweep) replaces it on re-runs instead of
+    # leaking a fresh mkdtemp directory per query invocation
     tag8 = hashlib.md5(sf_dir.encode()).hexdigest()[:8]
     out = f"/tmp/zorder_gate_{tag8}/orders_z"
     write_zorder(

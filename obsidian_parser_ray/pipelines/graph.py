@@ -49,6 +49,8 @@ from ..stages.linking import build_dictionary, child_of_edges, link_mentions
 #: faster by broadcast.
 LINK_MAX_ENTRIES = 10_000_000
 
+_ADJ_MANIFEST = "_ADJ_MANIFEST.json"
+
 #: Columns and types of every adjacency read (hit or empty).
 _ADJ_SCHEMA = pa.schema([("subj", pa.string()), ("pred", pa.string()),
                          ("obj", pa.string()), ("weight", pa.int64())])
@@ -378,7 +380,6 @@ def write_adjacency(result: GraphResult, out_dir: str, *,
     ``target_split_bytes``; unknown-size inputs get 16 splits rather
     than an unbounded task.
     """
-    import json
     import os
 
     import pyarrow as pa
@@ -404,108 +405,91 @@ def write_adjacency(result: GraphResult, out_dir: str, *,
         shard = pa.array((bucket * splits + split).astype("int32"), pa.int32())
         return t.append_column("shard", shard)
 
-    # idempotent: write into a tmp dir, rename into place — a rerun
-    # replaces the layout instead of APPENDing duplicate files into
-    # bucket dirs, and a crash never leaves a manifest over partial
-    # data.  Not atomic: between the rmtree and the os.replace below
-    # there is no layout (a crash there loses it; a concurrent
-    # read_adjacency_many raises).
-    import shutil
+    # publish protocol (state/publish.py): shards go under a fresh
+    # generation dir, the manifest swap makes them live, and the sweep
+    # leaves only that generation under data/
+    from ..state import publish
 
-    tmp = out_dir + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    manifest = {
-        "num_buckets": num_buckets,
-        "splits_per_bucket": splits,
-        "hash": "pd.util.hash_array",
-    }
+    gen = publish.next_generation(out_dir, _ADJ_MANIFEST)
+    gen_dir = os.path.join("data", f"g{gen}")
     tri = result.triples.map_batches(add_shard, batch_format="pyarrow")
-    data_dir = os.path.join(tmp, "data")
-    os.makedirs(data_dir, exist_ok=True)
     sort_keys = [(k, "ascending") for k in ("subj", "pred", "obj")]
+    write = publish.write_table
 
     def sort_and_write(g: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
         shard = g["shard"][0].as_py()
         b, s = divmod(shard, splits)
         body = g.drop_columns(["shard"]).sort_by(sort_keys)
-        bdir = os.path.join(data_dir, f"subj_bucket={b}")
-        os.makedirs(bdir, exist_ok=True)
-        fp = os.path.join(bdir, f"part-{s:05d}.parquet")
+        rel = os.path.join(gen_dir, f"subj_bucket={b}", f"part-{s:05d}.parquet")
+        fp = os.path.join(out_dir, rel)
         # compression is a bus-vs-CPU knob: zstd cuts the sink's
         # write bandwidth ~3-5x at modest compute cost (the right
         # trade when the sink shares a saturated memory bus or a
         # network link; snappy default unchanged)
-        pq.write_table(body, fp, compression=compression)
+        write(body, fp, compression=compression)
         return pa.table(
             {
                 "bucket": pa.array([b], pa.int32()),
                 "split": pa.array([s], pa.int32()),
                 "rows": pa.array([body.num_rows], pa.int64()),
                 "bytes": pa.array([os.path.getsize(fp)], pa.int64()),
+                "path": pa.array([rel], pa.string()),
             }
         )
 
     # ≤ num_buckets × splits tiny manifest rows come back to the driver
-    parts = (
+    parts = sorted(
         tri.groupby("shard")
         .map_groups(sort_and_write, batch_format="pyarrow")
-        .take_all()
-    )
-    manifest["partitions"] = sorted(
-        ({k: int(r[k]) for k in ("bucket", "split", "rows", "bytes")}
-         for r in parts),
+        .take_all(),
         key=lambda r: (r["bucket"], r["split"]),
     )
-    with open(os.path.join(tmp, "_ADJ_MANIFEST.json"), "w") as f:
-        json.dump(manifest, f)
-    shutil.rmtree(out_dir, ignore_errors=True)
-    os.replace(tmp, out_dir)
-    return manifest
+    # the manifest's bucket is the (bucket, split) shard id
+    return publish.commit(out_dir, _ADJ_MANIFEST, {
+        "num_buckets": num_buckets,
+        "splits_per_bucket": splits,
+        "hash": "pd.util.hash_array",
+        "generation": gen,
+        "partitions": [{k: int(r[k]) for k in ("bucket", "split", "rows",
+                                               "bytes")} for r in parts],
+        "files": {"data": {
+            str(int(r["bucket"]) * splits + int(r["split"])): [r["path"]]
+            for r in parts}},
+    })
 
 
 def read_adjacency_many(out_dir: str, subjects) -> pa.Table:
     """Triples of the given subjects, read on the caller with no Ray
     task: each subject hashes to its (bucket, split) shard, and each
-    shard file is opened ONCE with the subject set pushed down as a
-    Parquet filter (files are sorted on ``subj``, so row-group
-    statistics skip the row groups that cannot hold one).
+    manifest-listed shard file is opened ONCE with the subject set
+    pushed down as a Parquet filter (files are sorted on ``subj``, so
+    row-group statistics skip the row groups that cannot hold one).
 
     Returns the columns of :data:`_ADJ_SCHEMA`; shards come in
     manifest (bucket, split) order and rows in file order within each.
     Duplicate subjects read once.  A shard the manifest does not list
     had no rows and reads as empty; a listed shard whose file is gone
-    (a lookup inside ``write_adjacency``'s replace) raises
-    ``FileNotFoundError`` instead of answering empty."""
-    import json
-    import os
-
+    raises ``FileNotFoundError`` instead of answering empty."""
     import numpy as np
     import pyarrow.parquet as pq
 
     from ..hashing import hash64_array
+    from ..state import publish
 
     subs = sorted(set(subjects))
-    with open(os.path.join(out_dir, "_ADJ_MANIFEST.json")) as f:
-        man = json.load(f)
+    man = publish.load(out_dir, _ADJ_MANIFEST, "write_adjacency")
     nb, splits = man["num_buckets"], man["splits_per_bucket"]
-    listed = {(p["bucket"], p["split"]) for p in man["partitions"]}
     h = hash64_array(subs)
-    bucket = (h % np.uint64(nb)).tolist()
-    split = (h // np.uint64(nb) % np.uint64(splits)).tolist()
-    by_shard: dict[tuple[int, int], list[str]] = {}
-    for s, key in zip(subs, zip(bucket, split)):
-        if key in listed:
-            by_shard.setdefault(key, []).append(s)
+    shard = (h % np.uint64(nb) * np.uint64(splits)
+             + h // np.uint64(nb) % np.uint64(splits)).tolist()
+    by_shard: dict[int, list[str]] = {}
+    for s, key in zip(subs, shard):
+        by_shard.setdefault(key, []).append(s)
     tables = [
-        pq.read_table(
-            os.path.join(out_dir, "data", f"subj_bucket={b}",
-                         f"part-{sp:05d}.parquet"),
-            schema=_ADJ_SCHEMA, filters=[("subj", "in", group)],
-            partitioning=None,
-        )
-        for (b, sp), group in sorted(by_shard.items())
+        pq.read_table(path, schema=_ADJ_SCHEMA, filters=[("subj", "in", group)],
+                      partitioning=None)
+        for key, group in sorted(by_shard.items())
+        for path in publish.paths(out_dir, man, "data", [key])
     ]
     return pa.concat_tables(tables or [_ADJ_SCHEMA.empty_table()])
 

@@ -21,22 +21,15 @@ of the table's key column, ``num_buckets`` of them)::
     _MANIFEST.json num_buckets, generation, tombstones, files
 
 ``files`` maps table → bucket → live files (paths relative to
-``base_dir``).  Readers — the next delta, compaction, the returned
-triples Dataset — read exactly the manifest's files, so anything else
-on disk (a crashed writer's output, a superseded bucket not yet
-deleted) is never read.  A bulk write (:func:`checkpoint_graph_base`,
+``base_dir``).  A bulk write (:func:`checkpoint_graph_base`,
 :func:`compact_mention_keys`) leaves Ray's files under
 ``<table>/g<gen>/b=<b>/``; a delta writes one
 ``<table>/g<gen>-<b>.parquet`` per bucket it rewrites.
 
-Commit (write-then-publish, as Delta Lake's log): every new file goes
-under a name no live file has, then the manifest is written to a temp
-file and ``os.replace``-d — the one atomic step — and only then are
-superseded files deleted.  A crash before the swap leaves the old base
-(plus orphans); a crash after it leaves the new base (plus orphans) —
-for a crash of the process: data files are not fsync'd.
-Re-applying the same delta converges either way; bulk publishes sweep
-orphans.
+Commit: ``state/publish.py``, the protocol every persisted store
+shares.  Bulk writes sweep every file the new manifest does not list;
+a delta deletes the files it superseded.  Re-applying the same delta
+after a crash converges.
 
 ``mention_keys`` is the dual index: a changed doc's old reverse-index
 rows are scattered across key buckets, so instead of rewriting them we
@@ -77,9 +70,7 @@ anything — a delta that large should rebuild with
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -87,6 +78,7 @@ import pyarrow.parquet as pq
 
 from ..stages.extract import MENTIONS_SCHEMA, NOTES_SCHEMA
 from ..stages.linking import _LITERAL_ARR
+from ..state import publish
 
 _MANIFEST = "_MANIFEST.json"
 # bulk-write target rows per bucket file (see _write_generation)
@@ -174,91 +166,28 @@ def _tombstone_filter(tombstones: dict):
     return drop_tomb
 
 
-# ---- manifest: the live file list and its publication -----------------
+# ---- the live file list ---------------------------------------------
 
 def _load_manifest(base_dir: str) -> dict:
-    with open(os.path.join(base_dir, _MANIFEST)) as f:
-        man = json.load(f)
-    if "files" not in man:
-        raise ValueError(
-            f"{base_dir}: the base manifest has no 'files' map (a layout "
-            "written before generation commits); re-checkpoint the vault "
-            "with checkpoint_graph_base"
-        )
-    return man
-
-
-def _live(man: dict, table: str, buckets=None) -> list[str]:
-    """Live files of ``table`` (relative paths), all buckets or the
-    given ones."""
-    files = man["files"][table]
-    keys = (sorted(files, key=int) if buckets is None
-            else [str(b) for b in sorted(set(buckets))])
-    return [p for b in keys for p in files.get(b, ())]
+    return publish.load(base_dir, _MANIFEST, "checkpoint_graph_base")
 
 
 def _triples_dataset(base_dir: str, man: dict):
     """The base's triples as a lazy Dataset over the live files."""
     import ray.data as rd
 
-    paths = [os.path.join(base_dir, p) for p in _live(man, "triples")]
+    paths = publish.paths(base_dir, man, "triples")
     if not paths:
         return rd.from_arrow(_TRIPLES_SCHEMA.empty_table())
     return rd.read_parquet(paths, partitioning=None)
 
 
-def _write_table(table: pa.Table, path: str) -> None:
-    """The one bucket-file write of a delta."""
-    pq.write_table(table, path)
-
-
-def _drop_files(base_dir: str, rel_paths) -> None:
-    """Delete superseded files AFTER the manifest swap — a crash here
-    only leaves orphans, which no reader lists.  Emptied bulk-write
-    dirs stay until the next bulk publish sweeps them."""
-    for p in rel_paths:
-        try:
-            os.remove(os.path.join(base_dir, p))
-        except FileNotFoundError:
-            pass
-
-
-def _publish(base_dir: str, man: dict) -> None:
-    """The commit point: temp file + ``os.replace`` of the manifest."""
-    path = os.path.join(base_dir, _MANIFEST)
-    with open(path + ".tmp", "w") as f:
-        json.dump(man, f)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(path + ".tmp", path)
-
-
-def _sweep(base_dir: str, man: dict) -> None:
-    """After a bulk publish: delete every table file the manifest does
-    not list (superseded generations, a crashed writer's orphans, a
-    pre-manifest layout)."""
-    live = {os.path.normpath(p) for t in man["files"] for p in _live(man, t)}
-    for table in man["files"]:
-        root = os.path.join(base_dir, table)
-        for dirpath, _, files in os.walk(root, topdown=False):
-            for f in files:
-                fp = os.path.join(dirpath, f)
-                if os.path.relpath(fp, base_dir) not in live:
-                    os.remove(fp)
-            if dirpath != root and not os.listdir(dirpath):
-                os.rmdir(dirpath)
-
-
 def _write_generation(ds, base_dir: str, table: str, col: str, gen: int,
                       num_buckets: int) -> dict:
     """Bulk write: hash-bucket ``ds`` on ``col`` into
-    ``<table>/g<gen>/b=<b>/`` (a name no live file has); returns
-    bucket → files for the manifest."""
+    ``<table>/g<gen>/b=<b>/``; returns bucket → files for the
+    manifest."""
     from ..hashing import hash_bucket_array
-
-    rel = os.path.join(table, f"g{gen}")
-    root = os.path.join(base_dir, rel)
-    shutil.rmtree(root, ignore_errors=True)
 
     def add(t: pa.Table) -> pa.Table:
         return t.append_column("b", hash_bucket_array(t[col], num_buckets))
@@ -266,16 +195,9 @@ def _write_generation(ds, base_dir: str, table: str, col: str, gen: int,
     # bundle blocks into write tasks of ~_BUCKET_FILE_ROWS rows per
     # bucket: each task writes one file per bucket, so a base of one
     # task's size leaves ONE file per bucket for the pruned reads
-    ds.map_batches(add, batch_format="pyarrow").write_parquet(
-        root, partition_cols=["b"],
-        min_rows_per_file=num_buckets * _BUCKET_FILE_ROWS)
-    files: dict = {}
-    for d in sorted(os.listdir(root)) if os.path.isdir(root) else ():
-        fs = sorted(f for f in os.listdir(os.path.join(root, d))
-                    if f.endswith(".parquet"))
-        if fs:
-            files[d.split("=", 1)[1]] = [os.path.join(rel, d, f) for f in fs]
-    return files
+    return publish.write_generation(
+        ds.map_batches(add, batch_format="pyarrow"), base_dir, table, gen,
+        "b", min_rows_per_file=num_buckets * _BUCKET_FILE_ROWS)
 
 
 def checkpoint_graph_base(docs, base_dir: str, *, num_buckets: int = 64,
@@ -295,11 +217,7 @@ def checkpoint_graph_base(docs, base_dir: str, *, num_buckets: int = 64,
     from ..stages.linking import build_dictionary, child_of_edges, link_mentions
 
     os.makedirs(base_dir, exist_ok=True)
-    try:
-        with open(os.path.join(base_dir, _MANIFEST)) as f:
-            gen = int(json.load(f)["generation"]) + 1
-    except (OSError, ValueError, KeyError):
-        gen = 0
+    gen = publish.next_generation(base_dir, _MANIFEST)
     notes = extract_notes(
         docs, batch_size=extract_batch_size, strict_lists=strict_lists
     ).materialize()
@@ -323,11 +241,9 @@ def checkpoint_graph_base(docs, base_dir: str, *, num_buckets: int = 64,
     edges = edges.union(child_of_edges(notes))
     files["triples"] = put("triples", canonicalize(edges), "subj")
 
-    man = {"num_buckets": num_buckets, "generation": gen, "tombstones": {},
-           "files": files}
-    _publish(base_dir, man)
-    _sweep(base_dir, man)
-    return man
+    return publish.commit(base_dir, _MANIFEST, {
+        "num_buckets": num_buckets, "generation": gen, "tombstones": {},
+        "files": files})
 
 
 # ---- the delta, on the caller -------------------------------------------
@@ -362,7 +278,7 @@ class _BucketReader:
     def read(self, table: str, buckets) -> pa.Table:
         schema = _SCHEMAS[table]
         todo = sorted(set(buckets) - {b for t, b in self.cache if t == table})
-        paths = {b: _live(self.man, table, [b]) for b in todo}
+        paths = {b: publish.live(self.man, table, [b]) for b in todo}
         n = sum(len(v) for v in paths.values())
         self.bytes += sum(os.path.getsize(os.path.join(self.base_dir, p))
                           for v in paths.values() for p in v)
@@ -521,21 +437,21 @@ def incremental_update(base_dir: str, delta_docs, removed_ids=(), *,
             superseded += files[table].pop(str(b), [])
             if t is not None and t.num_rows:
                 rel = os.path.join(table, f"g{gen}-{b}.parquet")
-                _write_table(t, os.path.join(base_dir, rel))
+                publish.write_table(t, os.path.join(base_dir, rel))
                 files[table][str(b)] = [rel]
     # reverse index: append the delta's rows at the new generation and
     # tombstone every doc whose old reverse rows are now stale
     for b, t in _split(_mention_keys_batch(mentions_d, gen=gen),
                        "target_key", B).items():
         rel = os.path.join("mention_keys", f"g{gen}-{b}.parquet")
-        _write_table(t, os.path.join(base_dir, rel))
+        publish.write_table(t, os.path.join(base_dir, rel))
         files["mention_keys"].setdefault(str(b), []).append(rel)
     tombstones = dict(man["tombstones"])
     tombstones.update(dict.fromkeys(_arr(old_docs["doc_id"]).to_pylist(), gen))
 
     new_man = dict(man, generation=gen, tombstones=tombstones, files=files)
-    _publish(base_dir, new_man)
-    _drop_files(base_dir, superseded)
+    publish.publish(base_dir, _MANIFEST, new_man)
+    publish.drop_files(base_dir, superseded)
     return _triples_dataset(base_dir, new_man)
 
 
@@ -564,14 +480,12 @@ def compact_mention_keys(base_dir: str) -> dict:
     if not tombstones:
         return man
     gen = int(man["generation"]) + 1
-    paths = [os.path.join(base_dir, p) for p in _live(man, "mention_keys")]
+    paths = publish.paths(base_dir, man, "mention_keys")
     mk = (rd.read_parquet(paths, partitioning=None) if paths
           else rd.from_arrow(_MKEYS_SCHEMA.empty_table()))
     files = dict(man["files"])
     files["mention_keys"] = _write_generation(
         mk.map_batches(_tombstone_filter(tombstones), batch_format="pyarrow"),
         base_dir, "mention_keys", "target_key", gen, int(man["num_buckets"]))
-    new_man = dict(man, generation=gen, tombstones={}, files=files)
-    _publish(base_dir, new_man)
-    _sweep(base_dir, new_man)
-    return new_man
+    return publish.commit(base_dir, _MANIFEST, dict(
+        man, generation=gen, tombstones={}, files=files))

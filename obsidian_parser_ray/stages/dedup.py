@@ -1503,21 +1503,20 @@ def dedup_against_index(ds, index_dir: str, *, text_col: str = "text",
     batch (min-id keeper) and every previous :func:`dedup_against_index`
     call on the same ``index_dir`` — then append the new digests.
 
-    Layout: ``{index_dir}/db=<b>/gen-<g>-*.parquet`` (digest strings,
-    hash-bucketed) + a generation manifest.  Each partition task reads
-    ONLY its own bucket's files at generations ≤ the run's snapshot,
-    so (a) lookup work is 1/num_partitions of the index per task, (b)
-    re-executing the returned Dataset's lineage after the append still
-    sees the pre-append snapshot — the result is stable under Ray
-    retries and lazy re-consumption.
+    Layout: ``{index_dir}/digests/g<g>/db=<b>/*.parquet`` (digest
+    strings, hash-bucketed) + a manifest listing every live file per
+    bucket.  Each partition task reads ONLY its own bucket's files of
+    the run's snapshot, so (a) lookup work is 1/num_partitions of the
+    index per task, (b) re-executing the returned Dataset's lineage
+    after the append still sees the pre-append snapshot — the result
+    is stable under Ray retries and lazy re-consumption.
 
     ``index_dir`` must be shared storage (the standard sink contract).
-    Crash safety: bucket gen-files land via tmp + atomic rename BEFORE
-    the manifest bump; a crash in between leaves admitted digests at a
-    generation the manifest doesn't acknowledge — the NEXT run snaps
-    to the old generation and may re-admit that batch (at-least-once
-    ingestion; consumers dedup on doc_id or rerun the batch, same
-    contract as any resumable sink).
+    Crash safety: the append is published by ``state/publish.py`` —
+    new generation files, then the manifest swap — so a crash leaves
+    the index with or without the whole batch, never part of it.  A
+    call that raised before the swap left the index as it was; one that
+    raised after it (in the sweep of orphans) had admitted its batch.
 
     Returns the admitted rows (all input columns).  Scale shape: one
     bounded hash shuffle on the digest; index reads are
@@ -1528,29 +1527,24 @@ def dedup_against_index(ds, index_dir: str, *, text_col: str = "text",
     Single writer per index at a time (generations are not fenced
     against concurrent appends).
     """
-    import json
-    import os
-    import shutil
-    import uuid
+    from ..state import publish
 
     h = _digest_fn(digest)
-    os.makedirs(index_dir, exist_ok=True)
-    man_path = os.path.join(index_dir, _DIGEST_MANIFEST)
-    if os.path.exists(man_path):
-        with open(man_path) as f:
-            man = json.load(f)
-        if int(man["num_buckets"]) != num_partitions:
-            raise ValueError(
-                f"index at {index_dir} was built with "
-                f"num_buckets={man['num_buckets']}; pass the same value"
-            )
-        if man.get("digest", digest) != digest:
-            raise ValueError("digest algorithm mismatch with existing index")
-        gen_snapshot = int(man["generation"])
-    else:
+    try:
+        man = publish.load(index_dir, _DIGEST_MANIFEST,
+                           "dedup_against_index on an empty index_dir")
+    except FileNotFoundError:
         man = {"num_buckets": num_partitions, "generation": 0,
-               "digest": digest}
-        gen_snapshot = 0
+               "digest": digest, "files": {"digests": {}}}
+    if int(man["num_buckets"]) != num_partitions:
+        raise ValueError(
+            f"index at {index_dir} was built with "
+            f"num_buckets={man['num_buckets']}; pass the same value"
+        )
+    if man.get("digest", digest) != digest:
+        raise ValueError("digest algorithm mismatch with existing index")
+    snapshot = {int(b): publish.paths(index_dir, man, "digests", [b])
+                for b in man["files"]["digests"]}
 
     def add_hash(t: pa.Table) -> pa.Table:
         hashes = [h(x.encode("utf-8")) for x in t[text_col].to_pylist()]
@@ -1562,22 +1556,11 @@ def dedup_against_index(ds, index_dir: str, *, text_col: str = "text",
         # exchange partitions one key column by its hash bucket, so
         # every digest of this group lives in the index bucket ``b``
         b = hash_bucket_scalar(g["content_hash"].iloc[0], num_partitions)
-        bdir = os.path.join(index_dir, f"db={b}")
         seen: set = set()
-        if os.path.isdir(bdir):
-            for fname in sorted(os.listdir(bdir)):
-                if not fname.endswith(".parquet"):
-                    continue
-                try:
-                    gen = int(fname.split("-")[1])
-                except (IndexError, ValueError):
-                    continue
-                if gen <= gen_snapshot:  # snapshot isolation (see doc)
-                    seen.update(
-                        pq.read_table(
-                            os.path.join(bdir, fname)
-                        )["content_hash"].to_pylist()
-                    )
+        for p in snapshot.get(b, ()):  # snapshot isolation (see doc)
+            seen.update(pq.read_table(p, columns=["content_hash"],
+                                      partitioning=None)
+                        ["content_hash"].to_pylist())
         fresh = g[~g["content_hash"].isin(seen)]
         # min-id keeper within the incoming batch
         return (
@@ -1599,9 +1582,6 @@ def dedup_against_index(ds, index_dir: str, *, text_col: str = "text",
         return kept.map_batches(drop_hash, batch_format="pyarrow")
 
     # append the admitted digests as a new generation, bucket by bucket
-    new_gen = gen_snapshot + 1
-    tmp = os.path.join(index_dir, f".gen-{new_gen}-{uuid.uuid4().hex}.tmp")
-
     def rebucket(t: pa.Table) -> pa.Table:
         hh = t["content_hash"]
         if isinstance(hh, pa.ChunkedArray):
@@ -1616,26 +1596,15 @@ def dedup_against_index(ds, index_dir: str, *, text_col: str = "text",
             }
         )
 
-    kept.map_batches(rebucket, batch_format="pyarrow").write_parquet(
-        tmp, partition_cols=["db"]
-    )
-    for d in sorted(os.listdir(tmp)):
-        if not d.startswith("db="):
-            continue
-        src = os.path.join(tmp, d)
-        dst = os.path.join(index_dir, d)
-        os.makedirs(dst, exist_ok=True)
-        for i, fname in enumerate(sorted(os.listdir(src))):
-            if fname.endswith(".parquet"):
-                os.replace(
-                    os.path.join(src, fname),
-                    os.path.join(dst, f"gen-{new_gen}-{i:05d}.parquet"),
-                )
-    shutil.rmtree(tmp, ignore_errors=True)
-    man["generation"] = new_gen
-    with open(man_path, "w") as f:
-        json.dump(man, f)
-
+    gen = int(man["generation"]) + 1
+    new = publish.write_generation(
+        kept.map_batches(rebucket, batch_format="pyarrow"), index_dir,
+        "digests", gen, "db")
+    files = dict(man["files"]["digests"])
+    for b, fs in new.items():
+        files[b] = files.get(b, []) + fs
+    publish.commit(index_dir, _DIGEST_MANIFEST,
+                   dict(man, generation=gen, files={"digests": files}))
     return kept.map_batches(drop_hash, batch_format="pyarrow")
 
 

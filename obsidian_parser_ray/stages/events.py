@@ -1454,6 +1454,10 @@ def _session_merge_sweep(p: pd.DataFrame, key_col: str,
     })
 
 
+_SESSIONS_MANIFEST = "_SESSIONS_MANIFEST.json"
+_SESSIONS_REBUILD = "sessionize_update on an empty base_dir"
+
+
 def sessionize_update(base_dir: str, new_events, *,
                       key_col: str = "user_id", ts_col: str = "ts",
                       gap_minutes: int = 30,
@@ -1463,48 +1467,25 @@ def sessionize_update(base_dir: str, new_events, *,
     batch mentions — the streaming-sessionization contract on a batch
     engine: work and I/O ∝ delta keys, never corpus.
 
-    Store layout: ``{base_dir}/sessions/bucket=<n>/data.parquet`` (one
+    Store layout: ``{base_dir}/sessions/g<gen>-<b>.parquet`` (one
     summary table per bucket; at 10^12 events a bucket would shard
     further — the merge is associative so nothing changes) plus
-    ``_SESSIONS_MANIFEST.json`` pinning (gap, buckets, columns).
-    Adding events can only EXTEND or MERGE sessions, never split
-    them, so stored (start_s, end_s, n_events) summaries are a
-    sufficient statistic: each update unions affected buckets'
-    summaries with the delta's single-event intervals and re-runs one
-    vectorized merge sweep per bucket.  Bucket files are replaced via
-    a fixed ``.next`` temp name (idempotent under task retry) and
-    renamed by the driver after the whole update succeeds —
-    per-bucket atomic, at-least-once overall (the same contract as
-    ``pipelines.incremental``).
+    ``_SESSIONS_MANIFEST.json`` pinning (gap, buckets, columns) and
+    listing the live files.  Adding events can only EXTEND or MERGE
+    sessions, never split them, so stored (start_s, end_s, n_events)
+    summaries are a sufficient statistic: each update unions affected
+    buckets' summaries with the delta's single-event intervals and
+    re-runs one vectorized merge sweep per bucket.  The rewritten
+    buckets go live together through
+    :func:`..state.publish.rewrite_buckets` (new files, then the
+    manifest swap), so a crash leaves the old store or the new one.
 
     Returns {"buckets_touched": int, "rows_written": int}.
     """
-    import json
-    import os
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
     from ..hashing import hash_bucket_array
+    from ..state import publish
 
     gap_s = gap_minutes * 60
-    sess_root = os.path.join(base_dir, "sessions")
-    man_path = os.path.join(base_dir, "_SESSIONS_MANIFEST.json")
-    if os.path.exists(man_path):
-        with open(man_path) as f:
-            man = json.load(f)
-        if (man["gap_minutes"] != gap_minutes
-                or man["num_partitions"] != num_partitions
-                or man["key_col"] != key_col):
-            raise ValueError(
-                "store parameters differ from manifest: " + str(man)
-            )
-    else:
-        os.makedirs(sess_root, exist_ok=True)
-        man = {"gap_minutes": gap_minutes,
-               "num_partitions": num_partitions, "key_col": key_col}
-        with open(man_path, "w") as f:
-            json.dump(man, f)
 
     def delta_rows(t: pa.Table) -> pa.Table:
         sec = pc.divide(
@@ -1518,95 +1499,30 @@ def sessionize_update(base_dir: str, new_events, *,
             "n_events": pa.array(
                 np.ones(t.num_rows, dtype=np.int64)
             ),
-            "bucket": hash_bucket_array(t[key_col], num_partitions),
         })
 
-    delta = new_events.select_columns([key_col, ts_col]).map_batches(
-        delta_rows, batch_format="pyarrow"
-    )
-    # bounded: ≤ num_partitions rows survive the per-block dedup
-    touched = sorted({
-        r["bucket"]
-        for b in delta.map_batches(
-            lambda t: t.select(["bucket"]).group_by("bucket").aggregate([]),
-            batch_format="pyarrow",
-        ).iter_batches(batch_format="pyarrow")
-        for r in b.to_pylist()
-    })
-    if not touched:
-        return {"buckets_touched": 0, "rows_written": 0}
-
-    existing_paths = [
-        p for p in (
-            os.path.join(sess_root, f"bucket={b}", "data.parquet")
-            for b in touched
-        ) if os.path.exists(p)
-    ]
-    parts = [delta]
-    if existing_paths:
-        def tag_existing(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "bucket", hash_bucket_array(t[key_col], num_partitions)
-            ).select([key_col, "start_s", "end_s", "n_events",
-                      "bucket"])
-
-        parts.append(
-            rd.read_parquet(
-                existing_paths,
-                columns=[key_col, "start_s", "end_s", "n_events"],
-            ).map_batches(tag_existing, batch_format="pyarrow")
-        )
-    merged_input = parts[0] if len(parts) == 1 else parts[0].union(
-        *parts[1:]
-    )
-
-    def merge_write(p: pd.DataFrame) -> pd.DataFrame:
-        b = int(p["bucket"].iloc[0])
-        out = _session_merge_sweep(
-            p.drop(columns=["bucket"]), key_col, gap_s
-        )
-        d = os.path.join(sess_root, f"bucket={b}")
-        os.makedirs(d, exist_ok=True)
-        pq.write_table(
-            pa.Table.from_pandas(out, preserve_index=False),
-            os.path.join(d, "data.parquet.next"),
-        )
-        return pd.DataFrame({"bucket": [b], "rows": [len(out)]})
-
-    stats = (
-        merged_input.groupby("bucket")
-        .map_groups(merge_write, batch_format="pandas")
-        .take_all()
-    )
-    rows = 0
-    for r in stats:
-        d = os.path.join(sess_root, f"bucket={int(r['bucket'])}")
-        os.replace(os.path.join(d, "data.parquet.next"),
-                   os.path.join(d, "data.parquet"))
-        rows += int(r["rows"])
-    return {"buckets_touched": len(stats), "rows_written": rows}
+    return publish.rewrite_buckets(
+        base_dir, _SESSIONS_MANIFEST,
+        {"gap_minutes": gap_minutes, "num_partitions": num_partitions,
+         "key_col": key_col},
+        new_events.select_columns([key_col, ts_col]).map_batches(
+            delta_rows, batch_format="pyarrow"),
+        table="sessions", cols=[key_col, "start_s", "end_s", "n_events"],
+        bucket_of=lambda t: hash_bucket_array(t[key_col], num_partitions),
+        merge=lambda p: _session_merge_sweep(p, key_col, gap_s),
+        rebuild=_SESSIONS_REBUILD)
 
 
 def read_sessions(base_dir: str):
     """Read the full persisted session store as a Dataset with the
     same schema as :func:`sessionize` output."""
-    import glob
-    import os
-
     import ray.data as rd
 
-    paths = sorted(
-        glob.glob(os.path.join(base_dir, "sessions", "bucket=*",
-                               "data.parquet"))
-    )
-    if not paths:
-        raise FileNotFoundError(f"no session store under {base_dir}")
-    ds = rd.read_parquet(paths)
-    # drop the hive-inferred partition column — callers get exactly
-    # the sessionize() schema
-    if "bucket" in ds.schema().names:
-        ds = ds.drop_columns(["bucket"])
-    return ds
+    from ..state import publish
+
+    man = publish.load(base_dir, _SESSIONS_MANIFEST, _SESSIONS_REBUILD)
+    return rd.read_parquet(publish.paths(base_dir, man, "sessions"),
+                           partitioning=None)
 
 
 def conversion_lag(events, *, from_type: str = "signup",

@@ -19,18 +19,18 @@ the pruned read IS the feature (a full scan for a 1% box is the bug).
 
 No reference analog (the reference has no storage layout layer); the
 pattern follows the public Delta Lake / Iceberg z-ordering design and
-the repo's own persisted-index contracts (similarity.py
-build_ivf_index: tmp + atomic rename, footer-only derivations).
+the repo's own persisted-index contracts (``state/publish.py``:
+manifest-listed files, one manifest swap; footer-only derivations).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
 
 import numpy as np
 import pyarrow as pa
+
+from ..state import publish
 
 _MANIFEST = "_ZORDER_MANIFEST.json"
 
@@ -66,11 +66,12 @@ def write_zorder(ds, out_dir: str, cols: list[str], *, bits: int = 10,
     """Write ``ds`` as a z-order-clustered parquet layout under
     ``out_dir``; returns the manifest dict.
 
-    Layout: ``{out_dir}/data/zf=<k>/*.parquet`` + ``_ZORDER_MANIFEST
-    .json`` holding per-file-partition min/max of every clustered
-    column (read from parquet footers — O(files), zero data bytes).
-    Build is atomic (tmp dir + rename) and a rebuild replaces the
-    layout, same contract as the other persisted sinks.
+    Layout: ``{out_dir}/data/g<gen>/zf=<k>/*.parquet`` +
+    ``_ZORDER_MANIFEST.json`` holding per-file-partition min/max of
+    every clustered column (read from parquet footers — O(files), zero
+    data bytes) and the live files.  Published by ``state/publish.py``:
+    a rebuild replaces the layout, and a crash leaves the old or the
+    new one.
 
     ``cols`` must be numeric.  ``bits`` is the per-dimension quantizer
     resolution; ``num_files`` (rounded up to a power of two) is the
@@ -120,30 +121,21 @@ def write_zorder(ds, out_dir: str, cols: list[str], *, bits: int = 10,
         fid = (z >> np.uint64(shift)).astype(np.int32)
         return t.append_column("zf", pa.array(fid, pa.int32()))
 
-    tmp = out_dir + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    data_dir = os.path.join(tmp, "data")
-    ds.map_batches(assign, batch_format="pyarrow").write_parquet(
-        data_dir, partition_cols=["zf"]
-    )
+    gen = publish.next_generation(out_dir, _MANIFEST)
+    files = publish.write_generation(
+        ds.map_batches(assign, batch_format="pyarrow"), out_dir, "data", gen,
+        "zf")
 
     import pyarrow.parquet as pq
 
     all_stats = list(dict.fromkeys(list(cols) + list(stats_cols)))
     parts = {}
-    for dname in sorted(os.listdir(data_dir)):
-        if not dname.startswith("zf="):
-            continue
-        fid = int(dname.split("=", 1)[1])
+    for fid, fs in files.items():
         mins = {c: None for c in all_stats}
         maxs = {c: None for c in all_stats}
         rows = 0
-        for fname in os.listdir(os.path.join(data_dir, dname)):
-            if not fname.endswith(".parquet"):
-                continue
-            md = pq.ParquetFile(
-                os.path.join(data_dir, dname, fname)
-            ).metadata
+        for rel in fs:
+            md = pq.ParquetFile(os.path.join(out_dir, rel)).metadata
             rows += md.num_rows
             schema_names = [md.schema.column(i).name
                             for i in range(md.num_columns)]
@@ -152,9 +144,7 @@ def write_zorder(ds, out_dir: str, cols: list[str], *, bits: int = 10,
                 for c in all_stats:
                     st = g.column(schema_names.index(c)).statistics
                     if st is None or not st.has_min_max:
-                        raise ValueError(
-                            f"no footer stats for {c} in {dname}/{fname}"
-                        )
+                        raise ValueError(f"no footer stats for {c} in {rel}")
                     lo, hi = st.min, st.max
                     if mins[c] is None or lo < mins[c]:
                         mins[c] = lo
@@ -166,19 +156,16 @@ def write_zorder(ds, out_dir: str, cols: list[str], *, bits: int = 10,
             "max": {c: maxs[c] for c in all_stats},
         }
 
-    manifest = {
+    return publish.commit(out_dir, _MANIFEST, {
         "cols": list(cols),
         "stats_cols": all_stats,
         "bits": bits,
         "num_files": nf,
         "bounds": {c: list(bounds[c]) for c in cols},
-        "partitions": {str(k): v for k, v in parts.items()},
-    }
-    with open(os.path.join(tmp, _MANIFEST), "w") as f:
-        json.dump(manifest, f)
-    shutil.rmtree(out_dir, ignore_errors=True)
-    os.replace(tmp, out_dir)
-    return manifest
+        "partitions": parts,
+        "generation": gen,
+        "files": {"data": files},
+    })
 
 
 def zorder_plan(out_dir: str, ranges: dict) -> tuple[list[int], int]:
@@ -186,8 +173,7 @@ def zorder_plan(out_dir: str, ranges: dict) -> tuple[list[int], int]:
     ``(selected_partition_ids, total_partitions)``.  A partition is
     selected unless some queried column's manifest [min, max] misses
     the requested ``[lo, hi]`` (either bound may be None = open)."""
-    with open(os.path.join(out_dir, _MANIFEST)) as f:
-        manifest = json.load(f)
+    manifest = publish.load(out_dir, _MANIFEST, "write_zorder")
     stats_cols = manifest.get("stats_cols", manifest["cols"])
     unknown = set(ranges) - set(stats_cols)
     if unknown:
@@ -222,39 +208,27 @@ def read_zorder(out_dir: str, ranges: dict, *, columns=None,
     import ray.data as rd
 
     selected, _total = zorder_plan(out_dir, ranges)
-    with open(os.path.join(out_dir, _MANIFEST)) as f:
-        manifest = json.load(f)
+    manifest = publish.load(out_dir, _MANIFEST, "write_zorder")
     read_cols = None
     if columns is not None:
         read_cols = list(dict.fromkeys(list(columns) + list(ranges)))
     if not selected:
         import pyarrow.parquet as pq
 
-        data_dir = os.path.join(out_dir, "data")
-        any_part = sorted(os.listdir(data_dir))[0]
-        any_file = sorted(
-            f for f in os.listdir(os.path.join(data_dir, any_part))
-            if f.endswith(".parquet")
-        )[0]
-        schema = pq.read_schema(os.path.join(data_dir, any_part, any_file))
+        schema = pq.read_schema(publish.paths(out_dir, manifest, "data")[0])
         keep = [n for n in schema.names
                 if n != "zf" and (columns is None or n in columns)]
         empty = pa.table(
             {n: pa.nulls(0, schema.field(n).type) for n in keep}
         )
         return rd.from_arrow(empty)
-    # enumerate files: ray.data.read_parquet treats LIST entries as
-    # files, not directories
-    paths = [
-        os.path.join(out_dir, "data", f"zf={k}", f)
-        for k in selected
-        for f in sorted(os.listdir(os.path.join(out_dir, "data", f"zf={k}")))
-        if f.endswith(".parquet")
-    ]
     kw = {}
     if override_num_blocks is not None:
         kw["override_num_blocks"] = override_num_blocks
-    ds = rd.read_parquet(paths, columns=read_cols, **kw)
+    # hive partitioning (the default) only adds ``zf``, which the
+    # residual drops; Ray's reader fails a projection without it
+    ds = rd.read_parquet(publish.paths(out_dir, manifest, "data", selected),
+                         columns=read_cols, **kw)
 
     def residual(t: pa.Table) -> pa.Table:
         mask = None

@@ -261,15 +261,39 @@ def _sample_centroids(ds, n_centroids: int, seed: int, vec_col: str, id_col: str
     )
 
 
+_IVF_MANIFEST = "_IVF_MANIFEST.json"
+
+
+def _assign_lists(t: pa.Table, centroids_ref=None, vec_col: str = "",
+                  id_col: str = "") -> pa.Table:
+    """Task-path IVF assignment: fetch the broadcast centroids and tag
+    each vector with its nearest list."""
+    import ray
+
+    unit = _unit(_as_matrix(t[vec_col]))
+    assign = np.argmax(unit @ ray.get(centroids_ref).T, axis=1)
+    return pa.table(
+        {
+            id_col: t[id_col],
+            vec_col: t[vec_col],
+            "list_id": pa.array(assign.astype("int32"), pa.int32()),
+        }
+    )
+
+
 def build_ivf_index(ds, index_dir: str, *, n_centroids: int = 16, seed: int = 42,
                     vec_col: str = "embedding", id_col: str = "vec_id") -> dict:
     """Partition the vector table into inverted lists on disk.
 
-    Layout: ``{index_dir}/data/list_id=<n>/*.parquet`` (hive
+    Layout: ``{index_dir}/data/g<gen>/list_id=<n>/*.parquet`` (hive
     partitioning via ``write_parquet(partition_cols)``) plus
-    ``_IVF_MANIFEST.json`` holding the centroid matrix and per-list
-    row counts.  Assignment is a streaming ``map_batches`` pass; the
-    write is the only shuffle-like step (grouped by partition value).
+    ``_IVF_MANIFEST.json`` holding the centroid matrix, per-list row
+    counts and the live files.  Assignment is a streaming
+    ``map_batches`` pass of stateless tasks; the write is the only
+    shuffle-like step (grouped by partition value).  Published by
+    ``state/publish.py``: a rebuild replaces the index (``write_parquet``
+    names files uniquely, so writing into a live dir would double-count
+    vectors), and a crash leaves the old index or the new one.
 
     Storage contract: ``index_dir`` must be shared storage visible to
     the driver and every node — the same requirement every sink here
@@ -278,67 +302,36 @@ def build_ivf_index(ds, index_dir: str, *, n_centroids: int = 16, seed: int = 42
     (metadata, no data bytes), so it stays O(files) regardless of
     index size.
     """
-    import json
     import os
 
+    import pyarrow.parquet as pq
     import ray
 
+    from ..state import publish
+
     centroids = _sample_centroids(ds, n_centroids, seed, vec_col, id_col)
-    ref = ray.put(centroids)
-
-    class Assign:
-        def __init__(self):
-            self.centroids = ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            unit = _unit(_as_matrix(t[vec_col]))
-            assign = np.argmax(unit @ self.centroids.T, axis=1)
-            return pa.table(
-                {
-                    id_col: t[id_col],
-                    vec_col: t[vec_col],
-                    "list_id": pa.array(assign.astype("int32"), pa.int32()),
-                }
-            )
-
-    # atomic + idempotent: build under a tmp dir, rename into place —
-    # a rebuild REPLACES the index (write_parquet appends uniquely-named
-    # files, so writing into a live dir would double-count vectors) and
-    # a crash never leaves a manifest over partial data.
-    import shutil
-
-    tmp = index_dir + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    assigned = ds.map_batches(Assign, batch_format="pyarrow", batch_size=1024,
-                              concurrency=(1, 8))
-    data_dir = os.path.join(tmp, "data")
-    assigned.write_parquet(data_dir, partition_cols=["list_id"])
-
-    counts = {}
-    for d in sorted(os.listdir(data_dir)):
-        if d.startswith("list_id="):
-            lid = int(d.split("=", 1)[1])
-            import pyarrow.parquet as pq
-
-            counts[lid] = sum(
-                pq.ParquetFile(os.path.join(data_dir, d, f)).metadata.num_rows
-                for f in os.listdir(os.path.join(data_dir, d))
-                if f.endswith(".parquet")
-            )
-    manifest = {
+    assigned = ds.map_batches(
+        _assign_lists, batch_format="pyarrow", batch_size=1024,
+        fn_kwargs={"centroids_ref": ray.put(centroids), "vec_col": vec_col,
+                   "id_col": id_col})
+    gen = publish.next_generation(index_dir, _IVF_MANIFEST)
+    files = publish.write_generation(assigned, index_dir, "data", gen,
+                                     "list_id")
+    return publish.commit(index_dir, _IVF_MANIFEST, {
         "n_centroids": int(len(centroids)),
         "dim": int(centroids.shape[1]),
         "centroids": centroids.tolist(),
-        "list_rows": counts,
+        "list_rows": {
+            lid: sum(pq.ParquetFile(os.path.join(index_dir, f)).metadata
+                     .num_rows for f in fs)
+            for lid, fs in files.items()
+        },
         "vec_col": vec_col,
         "id_col": id_col,
         "seed": seed,
-    }
-    with open(os.path.join(tmp, "_IVF_MANIFEST.json"), "w") as f:
-        json.dump(manifest, f)
-    shutil.rmtree(index_dir, ignore_errors=True)
-    os.replace(tmp, index_dir)
-    return manifest
+        "generation": gen,
+        "files": {"data": files},
+    })
 
 
 def search_ivf_index(index_dir: str, query_ids_and_vecs, *, k: int = 5,
@@ -350,13 +343,11 @@ def search_ivf_index(index_dir: str, query_ids_and_vecs, *, k: int = 5,
     makes IVF pay off at 10^12 rows.  Scoring is the same partial-top-k
     + merge dataflow as :func:`knn_bruteforce`.
     """
-    import json
-    import os
-
     import ray.data as rd
 
-    with open(os.path.join(index_dir, "_IVF_MANIFEST.json")) as f:
-        man = json.load(f)
+    from ..state import publish
+
+    man = publish.load(index_dir, _IVF_MANIFEST, "build_ivf_index")
     centroids = np.asarray(man["centroids"], dtype=np.float64)
     vec_col, id_col = man["vec_col"], man["id_col"]
 
@@ -365,10 +356,7 @@ def search_ivf_index(index_dir: str, query_ids_and_vecs, *, k: int = 5,
     q_lists = np.argsort(-(q_unit @ centroids.T), axis=1)[:, :nprobe]
     wanted = sorted({int(l) for row in q_lists for l in row})
 
-    paths = [
-        os.path.join(index_dir, "data", f"list_id={lid}") for lid in wanted
-        if os.path.isdir(os.path.join(index_dir, "data", f"list_id={lid}"))
-    ]
+    paths = publish.paths(index_dir, man, "data", wanted)
     if not paths:
         return rd.from_arrow(
             pa.table(
@@ -378,7 +366,7 @@ def search_ivf_index(index_dir: str, query_ids_and_vecs, *, k: int = 5,
                  "rank": pa.array([], pa.int64())}
             )
         )
-    lists = rd.read_parquet(paths, file_extensions=["parquet"])
+    lists = rd.read_parquet(paths, partitioning=None)
     return knn_bruteforce(
         lists,
         (q_ids, q_unit),

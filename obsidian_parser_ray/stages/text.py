@@ -273,12 +273,14 @@ def quality_score_batch(t: pa.Table, *, text_col: str = "text") -> pa.Table:
 
 
 class LangId:
-    """Actor-pool language identifier (stopword + char-class evidence).
+    """Language identifier (stopword + char-class evidence).
 
-    State (compiled evidence tables) built once per actor.  Scores each
-    language by stopword hits; char-class overrides for scripts
-    (CJK → zh, Cyrillic → ru).  Deterministic tie-break by language
-    code.  Returns 'und' when no evidence.
+    Scores each language by stopword hits; char-class overrides for
+    scripts (CJK → zh, Cyrillic → ru).  Deterministic tie-break by
+    language code.  Returns 'und' when no evidence.  :func:`lang_id`
+    maps an instance as a stateless task (its state is four stopword
+    sets and two regexes, cheap to ship); :meth:`predict` is the scalar
+    reference the batch path is tested against.
     """
 
     def __init__(self, text_col: str = "text", id_col: str = "doc_id"):
@@ -309,7 +311,7 @@ class LangId:
     def __call__(self, t: pa.Table) -> pa.Table:
         # vectorized twin of predict() over the whole batch: one
         # lowered whitespace split, one is_in + bincount per language
-        # (value sets are actor state), argmax with predict()'s exact
+        # (value sets are instance state), argmax with predict()'s exact
         # strictly-greater / sorted-code tie-break, then the script
         # overrides as two Arrow RE2 sweeps (CJK wins over Cyrillic,
         # same check order as predict)
@@ -353,15 +355,10 @@ class LangId:
         )
 
 
-def lang_id(ds, *, text_col: str = "text", id_col: str = "doc_id", concurrency=(1, 4),
+def lang_id(ds, *, text_col: str = "text", id_col: str = "doc_id",
             batch_size: int | None = 512):
-    return ds.map_batches(
-        LangId,
-        fn_constructor_kwargs={"text_col": text_col, "id_col": id_col},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return ds.map_batches(LangId(text_col, id_col), batch_format="pyarrow",
+                          batch_size=batch_size)
 
 
 def lang_stats(ds, *, lang_col: str = "lang", text_col: str = "text"):
@@ -1474,27 +1471,27 @@ def ngram_novelty(ds, *, n: int = 3, text_col: str = "text",
 # ---------------------------------------------------------------------------
 
 
+_TERM_INDEX_MANIFEST = "_TERM_INDEX_MANIFEST.json"
+
+
 def build_term_index(ds, index_dir: str, *, text_col: str = "text",
                      id_col: str = "doc_id",
                      num_buckets: int = 64) -> dict:
     """Materialize the corpus's postings ``(doc_id, term, tf)`` as a
     term-hash-bucketed parquet index on shared storage.
 
-    Layout: ``{index_dir}/data/bucket=<n>/*.parquet`` (hive
+    Layout: ``{index_dir}/data/g<gen>/bucket=<n>/*.parquet`` (hive
     partitioning) + ``_TERM_INDEX_MANIFEST.json`` (bucket count,
-    column names).  A query for terms T then reads ONLY the buckets
-    ``hash(t) % num_buckets`` — at 10^12 postings that is the
-    difference between scanning the corpus per query and reading a
-    few hundred files.  Build is one streaming explode pass; the
-    hive write is the only shuffle-like step.  Atomic + idempotent:
-    built under a tmp dir and renamed into place (same contract as
-    ``similarity.build_ivf_index``).
+    column names, live files).  A query for terms T then reads ONLY
+    the buckets ``hash(t) % num_buckets`` — at 10^12 postings that is
+    the difference between scanning the corpus per query and reading
+    a few hundred files.  Build is one streaming explode pass; the
+    hive write is the only shuffle-like step.  Published by
+    ``state/publish.py``: a rebuild replaces the index, and a crash
+    leaves the old or the new one.
     """
-    import json
-    import os
-    import shutil
-
     from ..hashing import hash_bucket_array
+    from ..state import publish
 
     def explode(t: pa.Table) -> pa.Table:
         # vectorized twin of the per-doc
@@ -1521,25 +1518,18 @@ def build_term_index(ds, index_dir: str, *, text_col: str = "text",
             "bucket": hash_bucket_array(terms, num_buckets),
         })
 
-    tmp = index_dir + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(os.path.join(tmp, "data"), exist_ok=True)
     postings = ds.select_columns([id_col, text_col]).map_batches(
         explode, batch_format="pyarrow"
     )
-    postings.write_parquet(
-        os.path.join(tmp, "data"), partition_cols=["bucket"]
-    )
-    manifest = {
+    gen = publish.next_generation(index_dir, _TERM_INDEX_MANIFEST)
+    return publish.commit(index_dir, _TERM_INDEX_MANIFEST, {
         "num_buckets": num_buckets,
         "id_col": id_col,
         "text_col": text_col,
-    }
-    with open(os.path.join(tmp, "_TERM_INDEX_MANIFEST.json"), "w") as f:
-        json.dump(manifest, f)
-    shutil.rmtree(index_dir, ignore_errors=True)
-    os.replace(tmp, index_dir)
-    return manifest
+        "generation": gen,
+        "files": {"data": publish.write_generation(
+            postings, index_dir, "data", gen, "bucket")},
+    })
 
 
 def search_term_index(index_dir: str, *, all_of=(), any_of=(),
@@ -1557,17 +1547,13 @@ def search_term_index(index_dir: str, *, all_of=(), any_of=(),
 
     Output: (id_col,) of matching documents.
     """
-    import json
-    import os
-
     import pyarrow.compute as pc
     import ray.data as rd
 
     from ..hashing import hash_bucket_scalar
+    from ..state import publish
 
-    with open(os.path.join(index_dir,
-                           "_TERM_INDEX_MANIFEST.json")) as f:
-        man = json.load(f)
+    man = publish.load(index_dir, _TERM_INDEX_MANIFEST, "build_term_index")
     id_col = man["id_col"]
     nb = man["num_buckets"]
 
@@ -1589,12 +1575,7 @@ def search_term_index(index_dir: str, *, all_of=(), any_of=(),
             "term"
         )
     wanted = sorted({hash_bucket_scalar(t, nb) for t in terms})
-    paths = [
-        p for p in (
-            os.path.join(index_dir, "data", f"bucket={b}")
-            for b in wanted
-        ) if os.path.isdir(p)
-    ]
+    paths = publish.paths(index_dir, man, "data", wanted)
     term_arr = pa.array(sorted(terms), pa.string())
     all_arr = pa.array(sorted(set(all_of)), pa.string())
     any_arr = pa.array(sorted(set(any_of)), pa.string())
@@ -1604,7 +1585,7 @@ def search_term_index(index_dir: str, *, all_of=(), any_of=(),
     if not paths:
         hits = None
     else:
-        postings = rd.read_parquet(paths, file_extensions=["parquet"])
+        postings = rd.read_parquet(paths, partitioning=None)
 
         def partial(t: pa.Table) -> pa.Table:
             t = t.filter(pc.is_in(t["term"], value_set=term_arr))

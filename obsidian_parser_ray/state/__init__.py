@@ -1,38 +1,47 @@
 """Checkpoint / resume / lineage-metrics support (north_rule: "resumable
 from checkpoint with per-partition lineage + metrics").
 
-A checkpoint is a directory of parquet part files plus a
-``_MANIFEST.json`` recording row count, schema, wall time and the
-pipeline-stage lineage string.  Writes are atomic: data lands in
-``<dir>.tmp`` and is renamed into place only after the manifest is
-written, so a crashed run never leaves a half checkpoint that a resume
-would trust.  ``checkpoint_dataset`` skips recompute when a valid
-manifest is already present — that IS the resume path: rerunning a
-pipeline with the same ``checkpoint_dir`` re-reads finished stages and
-re-executes only what's missing.
+A checkpoint is a directory of parquet part files under ``data/``
+plus a ``_MANIFEST.json`` recording row count, per-file metrics,
+wall time, the pipeline-stage lineage string and the live file list.
+It is published by :mod:`.publish`, the protocol every persisted store
+shares: a crashed run never leaves a manifest over half-written data,
+and a resume reads only the files the manifest lists.
+``checkpoint_dataset`` skips recompute when a valid manifest is
+already present — that IS the resume path: rerunning a pipeline with
+the same ``checkpoint_dir`` re-reads finished stages and re-executes
+only what's missing.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
 import time
+
+from . import publish
+
+_MANIFEST = "_MANIFEST.json"
+_REBUILD = "checkpoint_dataset(..., resume=False)"
+_VIEW_MANIFEST = "_VIEW_MANIFEST.json"
+_VIEW_REBUILD = "incremental_sum_view on an empty base_dir"
 
 
 def manifest_path(path: str) -> str:
-    return os.path.join(path, "_MANIFEST.json")
+    return os.path.join(path, _MANIFEST)
 
 
 def load_manifest(path: str) -> dict | None:
-    mp = manifest_path(path)
-    if not os.path.exists(mp):
-        return None
     try:
-        with open(mp) as f:
-            return json.load(f)
-    except Exception:
+        return publish.load(path, _MANIFEST, _REBUILD)
+    except FileNotFoundError:
         return None
+
+
+def _read(path: str, man: dict):
+    import ray.data as rd
+
+    return rd.read_parquet(publish.paths(path, man, "data"),
+                           partitioning=None)
 
 
 def checkpoint_dataset(ds, path: str, *, lineage: str = "", resume: bool = True):
@@ -44,51 +53,38 @@ def checkpoint_dataset(ds, path: str, *, lineage: str = "", resume: bool = True)
     and makes every downstream consumer restartable without replaying
     the upstream lineage.
     """
-    import ray.data as rd
+    import pyarrow.parquet as pq
 
     if resume:
         m = load_manifest(path)
         if m is not None and m.get("lineage") == lineage:
-            return rd.read_parquet(path, file_extensions=["parquet"])
+            return _read(path, m)
         # lineage mismatch = the checkpoint belongs to a DIFFERENT
         # pipeline stage/shape → recompute rather than silently serving
         # stale data
 
-    tmp = path + ".tmp"
-    if os.path.exists(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp, exist_ok=True)
+    gen = publish.next_generation(path, _MANIFEST)
     t0 = time.perf_counter()
-    ds.write_parquet(tmp)
+    files = publish.write_generation(ds, path, "data", gen)
     # per-partition metrics from parquet footers (no data re-read):
     # each output file is one resumable partition — a downstream
     # consumer can skip, retry, or audit partitions individually.
-    import pyarrow.parquet as pq
-
     partitions = {}
-    for f in sorted(os.listdir(tmp)):
-        if f.endswith(".parquet"):
-            md = pq.ParquetFile(os.path.join(tmp, f)).metadata
-            partitions[f] = {
-                "rows": md.num_rows,
-                "bytes": os.path.getsize(os.path.join(tmp, f)),
-                "row_groups": md.num_row_groups,
-            }
-    n_rows = sum(p["rows"] for p in partitions.values())
-    manifest = {
-        "rows": n_rows,
+    for f in publish.live({"files": {"data": files}}, "data"):
+        fp = os.path.join(path, f)
+        md = pq.ParquetFile(fp).metadata
+        partitions[f] = {"rows": md.num_rows, "bytes": os.path.getsize(fp),
+                         "row_groups": md.num_row_groups}
+    manifest = publish.commit(path, _MANIFEST, {
+        "rows": sum(p["rows"] for p in partitions.values()),
         "lineage": lineage,
         "wall_sec": round(time.perf_counter() - t0, 3),
-        "files": sorted(partitions),
+        "generation": gen,
+        "files": {"data": files},
         "partitions": partitions,
         "written_at": time.time(),
-    }
-    with open(manifest_path(tmp), "w") as f:
-        json.dump(manifest, f, indent=1)
-    if os.path.exists(path):
-        shutil.rmtree(path)
-    os.replace(tmp, path)
-    return rd.read_parquet(path, file_extensions=["parquet"])
+    })
+    return _read(path, manifest)
 
 
 def write_partitioned_output(triples, out_dir: str, *, lineage: str = "",
@@ -99,8 +95,6 @@ def write_partitioned_output(triples, out_dir: str, *, lineage: str = "",
     repartition — sorted runs stay sorted); size it so each partition
     is a few hundred MB at scale.
     """
-    import ray.data as rd
-
     m = load_manifest(out_dir)
     if m is not None and m.get("lineage") == lineage:
         return m
@@ -119,44 +113,20 @@ def incremental_sum_view(base_dir: str, delta, *, keys: list[str],
 
     Additive aggregates are the easy incremental case — new partials
     simply add — so an update is: fold the delta to per-key partials,
-    union with the AFFECTED buckets' stored rows, one groupby-sum per
-    bucket, rewrite those buckets (fixed ``.next`` temp name +
-    driver rename — per-bucket atomic, idempotent under task retry;
-    the same contract as the session store).  Layout:
-    ``{base_dir}/view/bucket=<n>/data.parquet`` +
-    ``_VIEW_MANIFEST.json`` pinning (keys, sums, buckets).
+    then :func:`.publish.rewrite_buckets` unions them with the affected
+    buckets' stored rows, runs one groupby-sum per bucket and publishes
+    the rewritten buckets (the session store's contract).  Layout:
+    ``{base_dir}/view/g<gen>-<b>.parquet`` + ``_VIEW_MANIFEST.json``
+    pinning (keys, sums, buckets) and listing the live files.
 
     Returns {"buckets_touched": int, "rows_written": int}.
     """
-    import json
-    import os
-
-    import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-    import ray.data as rd
 
     from ..hashing import hash_bucket_array
 
-    view_root = os.path.join(base_dir, "view")
-    man_path = os.path.join(base_dir, "_VIEW_MANIFEST.json")
-    if os.path.exists(man_path):
-        with open(man_path) as f:
-            man = json.load(f)
-        if (man["keys"] != list(keys) or man["sums"] != list(sums)
-                or man["num_partitions"] != num_partitions):
-            raise ValueError(
-                "view parameters differ from manifest: " + str(man)
-            )
-    else:
-        os.makedirs(view_root, exist_ok=True)
-        man = {"keys": list(keys), "sums": list(sums),
-               "num_partitions": num_partitions}
-        with open(man_path, "w") as f:
-            json.dump(man, f)
-
-    def _bucket_col(t: pa.Table) -> pa.Array:
+    def bucket_of(t: pa.Table) -> pa.Array:
         if len(keys) == 1:
             kk = pc.cast(t[keys[0]], pa.string())
         else:
@@ -166,91 +136,29 @@ def incremental_sum_view(base_dir: str, delta, *, keys: list[str],
         return hash_bucket_array(kk, num_partitions)
 
     def partial(t: pa.Table) -> pa.Table:
-        flat = t.select(list(keys) + list(sums))
-        g = flat.group_by(list(keys)).aggregate(
+        g = t.select(list(keys) + list(sums)).group_by(list(keys)).aggregate(
             [(c, "sum") for c in sums]
         )
-        g = g.rename_columns([
+        return g.rename_columns([
             c[:-4] if c.endswith("_sum") else c for c in g.column_names
         ])
-        return g.append_column("bucket", _bucket_col(g))
 
-    d = delta.map_batches(partial, batch_format="pyarrow")
-    touched = sorted({
-        r["bucket"]
-        for b in d.map_batches(
-            lambda t: t.select(["bucket"]).group_by("bucket")
-            .aggregate([]),
-            batch_format="pyarrow",
-        ).iter_batches(batch_format="pyarrow")
-        for r in b.to_pylist()
-    })
-    if not touched:
-        return {"buckets_touched": 0, "rows_written": 0}
+    def merge(p):
+        return p.groupby(list(keys), as_index=False)[list(sums)].sum()
 
-    existing = [
-        p for p in (
-            os.path.join(view_root, f"bucket={b}", "data.parquet")
-            for b in touched
-        ) if os.path.exists(p)
-    ]
-    parts = [d]
-    if existing:
-        def tag(t: pa.Table) -> pa.Table:
-            return t.append_column("bucket", _bucket_col(t))
-
-        parts.append(
-            rd.read_parquet(existing, columns=list(keys) + list(sums))
-            .map_batches(tag, batch_format="pyarrow")
-        )
-    merged = parts[0] if len(parts) == 1 else parts[0].union(
-        *parts[1:]
-    )
-
-    def merge_write(p):
-        import pandas as pd
-
-        b = int(p["bucket"].iloc[0])
-        g = (
-            p.drop(columns=["bucket"])
-            .groupby(list(keys), as_index=False)[list(sums)].sum()
-        )
-        dpath = os.path.join(view_root, f"bucket={b}")
-        os.makedirs(dpath, exist_ok=True)
-        pq.write_table(
-            pa.Table.from_pandas(g, preserve_index=False),
-            os.path.join(dpath, "data.parquet.next"),
-        )
-        return pd.DataFrame({"bucket": [b], "rows": [len(g)]})
-
-    stats = (
-        merged.groupby("bucket")
-        .map_groups(merge_write, batch_format="pandas")
-        .take_all()
-    )
-    rows = 0
-    for r in stats:
-        dpath = os.path.join(view_root, f"bucket={int(r['bucket'])}")
-        os.replace(os.path.join(dpath, "data.parquet.next"),
-                   os.path.join(dpath, "data.parquet"))
-        rows += int(r["rows"])
-    return {"buckets_touched": len(stats), "rows_written": rows}
+    return publish.rewrite_buckets(
+        base_dir, _VIEW_MANIFEST,
+        {"keys": list(keys), "sums": list(sums),
+         "num_partitions": num_partitions},
+        delta.map_batches(partial, batch_format="pyarrow"),
+        table="view", cols=list(keys) + list(sums), bucket_of=bucket_of,
+        merge=merge, rebuild=_VIEW_REBUILD)
 
 
 def read_sum_view(base_dir: str):
     """Read the full materialized view as a Dataset (keys + sums)."""
-    import glob
-    import os
-
     import ray.data as rd
 
-    paths = sorted(
-        glob.glob(os.path.join(base_dir, "view", "bucket=*",
-                               "data.parquet"))
-    )
-    if not paths:
-        raise FileNotFoundError(f"no sum view under {base_dir}")
-    ds = rd.read_parquet(paths)
-    if "bucket" in ds.schema().names:
-        ds = ds.drop_columns(["bucket"])
-    return ds
+    man = publish.load(base_dir, _VIEW_MANIFEST, _VIEW_REBUILD)
+    return rd.read_parquet(publish.paths(base_dir, man, "view"),
+                           partitioning=None)

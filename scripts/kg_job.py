@@ -81,7 +81,7 @@ def main() -> None:
         "nodes": manifests["nodes"]["rows"],
         "wall_sec": round(time.perf_counter() - t0, 3),
         "partitions": {
-            k: len(m["files"]) for k, m in manifests.items()
+            k: len(m["partitions"]) for k, m in manifests.items()
         },
     }
     print(json.dumps(report))

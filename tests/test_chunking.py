@@ -1,7 +1,5 @@
 """Chunking + shuffled shard export."""
 
-import glob
-
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -12,6 +10,7 @@ from obsidian_parser_ray.stages.chunking import (
     chunk_rows,
     export_training_shards,
 )
+from obsidian_parser_ray.state import load_manifest, publish
 
 
 class TestChunkRows:
@@ -64,10 +63,9 @@ class TestExportShards:
         )
 
         def read_ids(d):
-            ids = []
-            for f in sorted(glob.glob(f"{d}/*.parquet")):
-                ids.append(pq.read_table(f)["id"].to_pylist())
-            return ids
+            # the shard files, in the order the manifest lists them
+            return [pq.read_table(f)["id"].to_pylist()
+                    for f in publish.paths(d, load_manifest(d), "data")]
 
         m1 = export_training_shards(ds, str(tmp_path / "a"), num_shards=4, seed=7)
         m2 = export_training_shards(ds, str(tmp_path / "b"), num_shards=4, seed=7)

@@ -566,10 +566,8 @@ class TestDedupAgainstIndex:
         )
 
     def test_cross_batch_and_within_batch(self, tmp_path):
-        import json
-        import os
-
         from obsidian_parser_ray.stages.dedup import dedup_against_index
+        from obsidian_parser_ray.state import publish
 
         idx = str(tmp_path / "digests")
         # batch 1: b/c share text -> min-id keeper 'b'
@@ -579,8 +577,8 @@ class TestDedupAgainstIndex:
             idx, num_partitions=4,
         ).to_pandas()
         assert sorted(kept1["doc_id"]) == ["a", "b"]
-        with open(os.path.join(idx, "_DIGEST_MANIFEST.json")) as f:
-            assert json.load(f)["generation"] == 1
+        man = publish.load(idx, "_DIGEST_MANIFEST.json", "")
+        assert man["generation"] == 1
 
         # batch 2: 'd' repeats batch-1 text -> dropped; 'e' is new
         kept2_ds = dedup_against_index(

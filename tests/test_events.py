@@ -1293,15 +1293,20 @@ class TestIncrementalSessionize:
         import ray.data as rd
 
         from obsidian_parser_ray.stages.events import sessionize_update
+        from obsidian_parser_ray.state import publish
 
         base = str(tmp_path / "touch_store")
         ev = self._events(3, 200, users=40)
         sessionize_update(base, rd.from_pandas(ev), num_partitions=16)
-        mtimes = {}
-        root = os.path.join(base, "sessions")
-        for d in os.listdir(root):
-            p = os.path.join(root, d, "data.parquet")
-            mtimes[d] = os.path.getmtime(p)
+
+        def bucket_files():
+            # bucket → (live file, mtime), read from the manifest
+            man = publish.load(base, "_SESSIONS_MANIFEST.json", "")
+            return {b: [(p, os.path.getmtime(os.path.join(base, p)))
+                        for p in fs]
+                    for b, fs in man["files"]["sessions"].items()}
+
+        mtimes = bucket_files()
         # delta touching exactly one user
         one = pd.DataFrame({
             "user_id": [int(ev["user_id"].iloc[0])],
@@ -1310,11 +1315,8 @@ class TestIncrementalSessionize:
         r = sessionize_update(base, rd.from_pandas(one),
                               num_partitions=16)
         assert r["buckets_touched"] == 1
-        changed = [
-            d for d in mtimes
-            if os.path.getmtime(
-                os.path.join(root, d, "data.parquet")) != mtimes[d]
-        ]
+        after = bucket_files()
+        changed = [d for d in mtimes if after.get(d) != mtimes[d]]
         assert len(changed) == 1
 
 

@@ -490,11 +490,10 @@ class TestAdjacencyLayout:
         """A one-split layout keeps its rows under hive
         ``subj_bucket=`` dirs; the lookup must not surface that dir as a
         fifth column, on the hit path or on the missing-bucket path."""
-        import os
-
         from obsidian_parser_ray import build_graph, read_adjacency, write_adjacency
         from obsidian_parser_ray.hashing import hash64_scalar
         from obsidian_parser_ray.sources import from_markdown_items
+        from obsidian_parser_ray.state import publish
 
         cols = ["subj", "pred", "obj", "weight"]
         docs = from_markdown_items([("a", "[[b]]"), ("b", "[[a]]")])
@@ -507,8 +506,7 @@ class TestAdjacencyLayout:
         assert rows[0]["obj"] == "b"
         missing = next(
             s for s in (f"m{i}" for i in range(1000))
-            if not os.path.isdir(os.path.join(
-                out, "data", f"subj_bucket={hash64_scalar(s) % 16}"))
+            if not publish.live(man, "data", [hash64_scalar(s) % 16])
         )
         empty = read_adjacency(out, missing)
         assert empty.schema().names == cols
@@ -531,14 +529,13 @@ class TestAdjacencyLayout:
         direct write) gives each bucket exactly the rows a global sort
         on (bucket, subj, pred, obj) would: the build's triples whose
         subject hashes there, in (subj, pred, obj) order."""
-        import os
-
         import pyarrow.parquet as pq
 
         from obsidian_parser_ray import build_graph
         from obsidian_parser_ray.hashing import hash64_scalar
         from obsidian_parser_ray.pipelines.graph import read_adjacency, write_adjacency
         from obsidian_parser_ray.sources import from_markdown_items
+        from obsidian_parser_ray.state import publish
 
         docs = from_markdown_items(
             [
@@ -560,11 +557,11 @@ class TestAdjacencyLayout:
                  if hash64_scalar(r["subj"]) % 4 == b),
                 key=lambda r: (r["subj"], r["pred"], r["obj"]),
             )
-            bdir = os.path.join(out, "data", f"subj_bucket={b}")
-            assert os.path.isdir(bdir) == bool(expected)
+            files = publish.paths(out, man, "data", [b])  # one split: shard b
+            assert bool(files) == bool(expected)
             if not expected:
                 continue
-            got = pq.read_table(bdir).select(cols).to_pylist()
+            got = pq.read_table(files[0]).select(cols).to_pylist()
             assert got == expected  # same rows, same order
             seen += len(got)
         assert seen == len(triples) > 0
@@ -594,6 +591,7 @@ class TestAdjacencyLayout:
             write_adjacency,
         )
         from obsidian_parser_ray.sources import from_markdown_items
+        from obsidian_parser_ray.state import publish
 
         docs = from_markdown_items(
             [
@@ -611,17 +609,13 @@ class TestAdjacencyLayout:
         # several distinct shard files exist (the whole point: no
         # single-task whole-bucket sort), each internally sorted
         n_files = 0
-        for b in range(2):
-            bdir = os.path.join(out_4, "data", f"subj_bucket={b}")
-            if not os.path.isdir(bdir):
-                continue
-            for f in sorted(os.listdir(bdir)):
-                t = pq.read_table(os.path.join(bdir, f))
-                rows = list(
-                    zip(*(t[c].to_pylist() for c in ("subj", "pred", "obj")))
-                )
-                assert rows == sorted(rows)
-                n_files += 1
+        for f in publish.paths(out_4, man, "data"):
+            t = pq.read_table(f)
+            rows = list(
+                zip(*(t[c].to_pylist() for c in ("subj", "pred", "obj")))
+            )
+            assert rows == sorted(rows)
+            n_files += 1
         assert n_files > 2
         # same total content as the unsplit layout
         whole_1 = sorted(
@@ -677,6 +671,7 @@ class TestAdjacencyLayout:
             write_adjacency,
         )
         from obsidian_parser_ray.sources import from_markdown_items
+        from obsidian_parser_ray.state import publish
 
         evil = "we'ird\"note\\x"
         docs = from_markdown_items(
@@ -688,8 +683,11 @@ class TestAdjacencyLayout:
         )
         g = build_graph(docs, include_child_of=False)
 
-        def shard_file(b, s):
-            return f"subj_bucket={b}/part-{s:05d}.parquet"
+        def shard_file(man, b, s):
+            # the shard's one live file, relative to data/
+            (rel,) = publish.live(man, "data",
+                                  [b * man["splits_per_bucket"] + s])
+            return os.path.relpath(rel, "data")
 
         no_file_seen = 0
         for nb, splits in ((2, 1), (2, 4), (16, 1)):
@@ -700,9 +698,9 @@ class TestAdjacencyLayout:
             parts = [(p["bucket"], p["split"]) for p in man["partitions"]]
             on_disk = sorted(os.path.relpath(os.path.join(r, f), data)
                              for r, _, fs in os.walk(data) for f in fs)
-            assert on_disk == sorted(shard_file(*p) for p in parts)
+            assert on_disk == sorted(shard_file(man, *p) for p in parts)
             whole = pa.concat_tables(
-                pq.read_table(os.path.join(data, shard_file(*p)),
+                pq.read_table(os.path.join(data, shard_file(man, *p)),
                               partitioning=None) for p in parts)
 
             def shard_of(s):
@@ -738,7 +736,7 @@ class TestAdjacencyLayout:
         # never an empty answer
         gone = parts[-1]
         victim = next(s for s in subjects if shard_of(s) == gone)
-        os.remove(os.path.join(data, shard_file(*gone)))
+        os.remove(os.path.join(data, shard_file(man, *gone)))
         with pytest.raises(FileNotFoundError):
             read_adjacency(out, victim)
         with pytest.raises(FileNotFoundError):

@@ -72,10 +72,11 @@ def _base_triples(base: str):
 
 def _orphans(base: str) -> set:
     """Table files on disk that the manifest does not list."""
-    from obsidian_parser_ray.pipelines.incremental import _live, _load_manifest
+    from obsidian_parser_ray.pipelines.incremental import _load_manifest
+    from obsidian_parser_ray.state import publish
 
     man = _load_manifest(base)
-    live = {p for t in man["files"] for p in _live(man, t)}
+    live = {p for t in man["files"] for p in publish.live(man, t)}
     return {
         os.path.relpath(os.path.join(d, f), base)
         for t in man["files"]
@@ -191,11 +192,11 @@ class TestIncremental:
         import ray.data as rd
 
         from obsidian_parser_ray.pipelines.incremental import (
-            _live,
             _load_manifest,
             _tombstone_filter,
             compact_mention_keys,
         )
+        from obsidian_parser_ray.state import publish
 
         tmp = tempfile.mkdtemp(prefix="kginc_")
         twin = tempfile.mkdtemp(prefix="kginc_twin_")
@@ -210,7 +211,7 @@ class TestIncremental:
             def read_mk(filtered_by: dict | None):
                 ds = rd.read_parquet(
                     [os.path.join(tmp, p) for p in
-                     _live(_load_manifest(tmp), "mention_keys")],
+                     publish.live(_load_manifest(tmp), "mention_keys")],
                     partitioning=None,
                 )
                 if filtered_by:
@@ -265,7 +266,7 @@ class TestIncrementalCommit:
                                        "after_publish"])
     def test_crash_leaves_old_or_new_base_and_reapply_converges(
             self, monkeypatch, crash):
-        from obsidian_parser_ray.pipelines import incremental
+        from obsidian_parser_ray.state import publish
 
         old, new = _full(V0), _full(_apply(V0, *MIXED))
         tmp = tempfile.mkdtemp(prefix="kginc_")
@@ -275,8 +276,8 @@ class TestIncrementalCommit:
             dry = tmp + "_dry"
             shutil.copytree(tmp, dry)
             writes = []
-            real_write = incremental._write_table
-            monkeypatch.setattr(incremental, "_write_table",
+            real_write = publish.write_table
+            monkeypatch.setattr(publish, "write_table",
                                 lambda t, p: writes.append(p) or real_write(t, p))
             self._update(dry, *MIXED)
             shutil.rmtree(dry, ignore_errors=True)
@@ -296,11 +297,10 @@ class TestIncrementalCommit:
                 raise _Crash("cleanup")
 
             if k is None:
-                monkeypatch.setattr(incremental, "_write_table", real_write)
-                monkeypatch.setattr(incremental, "_drop_files", cleanup_crash)
+                monkeypatch.setattr(publish, "write_table", real_write)
+                monkeypatch.setattr(publish, "drop_files", cleanup_crash)
             else:
-                monkeypatch.setattr(incremental, "_write_table",
-                                    write_then_crash)
+                monkeypatch.setattr(publish, "write_table", write_then_crash)
             with pytest.raises(_Crash):
                 self._update(tmp, *MIXED)
             monkeypatch.undo()

@@ -8,7 +8,12 @@ import pytest
 
 from obsidian_parser_ray import build_graph, write_graph
 from obsidian_parser_ray.sources import from_markdown_items
-from obsidian_parser_ray.state import checkpoint_dataset, load_manifest, manifest_path
+from obsidian_parser_ray.state import (
+    checkpoint_dataset,
+    load_manifest,
+    manifest_path,
+    publish,
+)
 
 
 def _docs():
@@ -38,14 +43,17 @@ class TestCheckpointDataset:
         import ray.data as rd
 
         path = str(tmp_path / "ckpt2")
-        # simulate a crash: data dir exists but no manifest
-        os.makedirs(path, exist_ok=True)
-        with open(os.path.join(path, "part-0.parquet"), "wb") as f:
+        # simulate a crash: a first write's file exists but no manifest
+        garbage = os.path.join("data", "g0", "part-0.parquet")
+        os.makedirs(os.path.join(path, "data", "g0"), exist_ok=True)
+        with open(os.path.join(path, garbage), "wb") as f:
             f.write(b"garbage")
         ds = rd.range(7)
         out = checkpoint_dataset(ds, path, lineage="y")
         assert out.count() == 7  # recomputed, garbage replaced
         assert load_manifest(path)["rows"] == 7
+        assert garbage not in publish.live(load_manifest(path), "data")
+        assert not os.path.exists(os.path.join(path, garbage))
 
 
 class TestGraphCheckpoint:
@@ -77,7 +85,8 @@ class TestWriteGraph:
         assert m["nodes"]["rows"] == 20
         for sub in ("triples", "nodes"):
             assert os.path.exists(manifest_path(f"{out}/{sub}"))
-            files = json.load(open(manifest_path(f"{out}/{sub}")))["files"]
+            man = json.load(open(manifest_path(f"{out}/{sub}")))
+            files = publish.live(man, "data")
             assert files and all(f.endswith(".parquet") for f in files)
         # rerun: resumable — manifests untouched
         stamp = m["triples"]["written_at"]
@@ -168,18 +177,19 @@ class TestIncrementalSumView:
         })
         incremental_sum_view(base, rd.from_pandas(df), keys=["k"],
                              sums=["v"], num_partitions=16)
-        root = os.path.join(base, "view")
-        mtimes = {
-            d: os.path.getmtime(os.path.join(root, d, "data.parquet"))
-            for d in os.listdir(root)
-        }
+
+        def bucket_files():
+            # bucket → (live file, mtime), read from the manifest
+            man = publish.load(base, "_VIEW_MANIFEST.json", "")
+            return {b: [(p, os.path.getmtime(os.path.join(base, p)))
+                        for p in fs]
+                    for b, fs in man["files"]["view"].items()}
+
+        mtimes = bucket_files()
         one = pd.DataFrame({"k": [int(df["k"].iloc[0])], "v": [5]})
         r = incremental_sum_view(base, rd.from_pandas(one), keys=["k"],
                                  sums=["v"], num_partitions=16)
         assert r["buckets_touched"] == 1
-        changed = [
-            d for d in mtimes
-            if os.path.getmtime(
-                os.path.join(root, d, "data.parquet")) != mtimes[d]
-        ]
+        after = bucket_files()
+        changed = [d for d in mtimes if after.get(d) != mtimes[d]]
         assert len(changed) == 1

@@ -81,7 +81,8 @@ def test_adjacency_reads_stay_on_the_caller():
 def test_linker_and_minhash_defaults_start_no_actor_pool():
     """``build_graph`` and ``analyze`` always link in stateless tasks
     (no pool-size option), ``link_mentions`` does unless a pool size is
-    passed, and the MinHash entry points take no ``concurrency``."""
+    passed, and the MinHash entry points and ``lang_id`` take no
+    ``concurrency``."""
     import inspect
 
     from obsidian_parser_ray.pipelines.analyzer import analyze
@@ -91,6 +92,7 @@ def test_linker_and_minhash_defaults_start_no_actor_pool():
         minhash_lsh_pairs,
     )
     from obsidian_parser_ray.stages.linking import link_mentions
+    from obsidian_parser_ray.stages.text import lang_id
 
     def params(fn):
         return inspect.signature(fn).parameters
@@ -98,5 +100,53 @@ def test_linker_and_minhash_defaults_start_no_actor_pool():
     for fn in (build_graph, analyze):
         assert "linker_concurrency" not in params(fn), fn.__name__
     assert params(link_mentions)["concurrency"].default is None
-    for fn in (minhash_lsh_pairs, drop_minhash_duplicates):
+    for fn in (minhash_lsh_pairs, drop_minhash_duplicates, lang_id):
         assert "concurrency" not in params(fn), fn.__name__
+
+
+def test_only_publish_makes_a_store_live():
+    """``state/publish.py`` is the one module that makes a persisted
+    store live: no other module under ``obsidian_parser_ray/`` calls
+    ``os.replace``, calls ``shutil.rmtree`` (every call left outside it
+    removed a store root or its tmp twin), or opens a ``*MANIFEST*.json``
+    for writing.
+
+    ``chunking.export_jsonl_shards`` is allowed by name: its
+    ``shard-NNNNN.jsonl[.gz]`` file names are the export's interface,
+    which ``sources.read_jsonl_shards`` parses, and its bytes must be
+    reproducible, so it keeps its own ``.next`` + ``os.replace`` per
+    shard and writes its manifest last."""
+    import ast
+
+    allowed = {("stages/chunking.py", "export_jsonl_shards")}
+    pkg = ROOT / "obsidian_parser_ray"
+    hits = []
+    for path in sorted(pkg.glob("**/*.py")):
+        rel = path.relative_to(pkg).as_posix()
+        if rel == "state/publish.py":
+            continue
+        src = path.read_text(encoding="utf-8")
+        for fn in ast.parse(src).body:
+            if not isinstance(fn, ast.FunctionDef) or (rel, fn.name) in allowed:
+                continue
+            # a path held in a local name is checked by what it was bound to
+            bound = {
+                t.id: ast.get_source_segment(src, node.value)
+                for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)
+            }
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = ast.get_source_segment(src, node.func)
+                if name in ("os.replace", "os.rename", "shutil.rmtree"):
+                    hits.append(f"{rel}:{node.lineno} {name}")
+                elif name == "open" and len(node.args) > 1:
+                    mode = ast.get_source_segment(src, node.args[1])
+                    target = node.args[0]
+                    text = (bound.get(target.id, "")
+                            if isinstance(target, ast.Name)
+                            else ast.get_source_segment(src, target))
+                    if "MANIFEST" in text.upper() and set("wax") & set(mode):
+                        hits.append(f"{rel}:{node.lineno} manifest write")
+    assert not hits, hits
